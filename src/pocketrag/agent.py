@@ -8,6 +8,11 @@ requests go through the local index (falling back to a store install when
 nothing local clears the threshold), actions are executed and reflected
 on. Successful runs are committed back to memory.
 
+The store catalog's index is built on the first local miss and kept on the
+``Scenario`` (``Scenario.store_index``, keyed by backend name, dimension and
+threshold), so later misses on that scenario object reuse it. Nothing is
+cached process-wide: a freshly loaded scenario builds its own.
+
 Cost model: a knowledge request is 1 planner call and 0 mobile steps; an
 app selection is 1 planner call, with the launch costing 1 mobile step
 (plus the configured install cost when the app came from the store); each
@@ -16,13 +21,14 @@ act is 1 planner call plus 1 mobile step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .app_index import AppIndex, AppMatch
 from .errors import (
     AppNotInstalledError,
     NoAppAnywhereError,
+    PocketRagError,
     ScenarioMismatchError,
 )
 from .planning import (
@@ -86,7 +92,14 @@ class AgentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AgentConfig":
-        return cls(**{k: data[k] for k in data})
+        """Build from a config mapping; unknown keys and bad values raise PocketRagError."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise PocketRagError(f"unknown agent config key(s): {', '.join(unknown)}")
+        try:
+            return cls(**data)
+        except ValueError as exc:
+            raise PocketRagError(f"invalid agent config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -188,10 +201,10 @@ def select_and_open_app(
     """Resolve an app request: local hit, or store install, then launch.
 
     A local match launches in exactly one mobile step. When the local
-    index rejects the query, the store catalog is retrieved the same way;
-    a store hit is installed (``install_step_cost`` steps), registered
-    into the live index, and launched. Raises NoAppAnywhereError when
-    neither side clears the threshold.
+    index rejects the query, the scenario's store index is retrieved the
+    same way; a store hit is installed (``install_step_cost`` steps),
+    registered into the live index, and launched. Raises
+    NoAppAnywhereError when neither side clears the threshold.
     """
     outcome = index.retrieve(app_query, k=config.k_apps)
     if outcome.found:
@@ -204,9 +217,7 @@ def select_and_open_app(
             candidates=outcome.matches,
         )
 
-    store_index = AppIndex.build(
-        device.store_seeds, index.backend, index.threshold, installed=False
-    )
+    store_index = device.scenario.store_index(index.backend, index.threshold)
     store_outcome = store_index.retrieve(app_query, k=config.k_apps)
     if not store_outcome.found:
         raise NoAppAnywhereError(

@@ -2,7 +2,8 @@
 
 The index embeds every app description once and answers queries with the
 top-k scored matches, or an explicit no-match outcome when even the best
-score sits below the configured threshold. It also generates the
+score sits below the configured threshold; scoring and ranking use the
+shared exact kernel (``VectorRows`` and ``top_k``). It also generates the
 contrastive training corpus (query, positive, negatives) used to fine-tune
 a real retrieval model offline.
 """
@@ -15,14 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .embedding import (
     EmbedderBackend,
     EmbeddingVector,
+    VectorRows,
     embed,
     resolve_backend,
     tokenize,
+    top_k,
+    write_json_atomic,
 )
 from .errors import (
     ConflictingRecordError,
@@ -113,9 +115,10 @@ class AppIndex:
         self.backend = backend
         self.threshold = float(threshold)
         self._records: dict[str, AppRecord] = {}
+        self._order: list[str] = []  # package id of each row, insertion order
+        self._rows = VectorRows(backend.dimension)
         for record in records:
             self._insert(record)
-        self._rebuild()
 
     @classmethod
     def build(
@@ -130,10 +133,7 @@ class AppIndex:
         index = cls(backend, threshold)
         for entry in catalog:
             seed = entry if isinstance(entry, AppSeed) else AppSeed.from_dict(entry)
-            if seed.package_id in index._records:
-                raise DuplicatePackageIdError(seed.package_id)
             index._insert(index._embed_seed(seed, installed, source))
-        index._rebuild()
         return index
 
     def _embed_seed(self, seed: AppSeed, installed: bool, source: str) -> AppRecord:
@@ -152,21 +152,16 @@ class AppIndex:
         )
 
     def _insert(self, record: AppRecord) -> None:
+        if record.package_id in self._records:
+            raise DuplicatePackageIdError(record.package_id)
         if record.embedding.dimension != self.backend.dimension:
             raise ValueError(
                 f"record {record.package_id} has dimension "
                 f"{record.embedding.dimension}, index uses {self.backend.dimension}"
             )
         self._records[record.package_id] = record
-
-    def _rebuild(self) -> None:
-        self._order = sorted(self._records)
-        if self._order:
-            self._matrix = np.stack(
-                [self._records[pid].embedding.values for pid in self._order]
-            )
-        else:
-            self._matrix = np.zeros((0, self.backend.dimension))
+        self._order.append(record.package_id)
+        self._rows.append(record.embedding.values)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -178,7 +173,8 @@ class AppIndex:
         return self._records.get(package_id)
 
     def records(self) -> list[AppRecord]:
-        return [self._records[pid] for pid in self._order]
+        """Every record, in ascending package-id order."""
+        return [self._records[pid] for pid in sorted(self._records)]
 
     def retrieve(self, query: str, k: int = 3) -> RetrievalOutcome:
         """Score every record against ``query`` and return the top ``k``.
@@ -188,6 +184,9 @@ class AppIndex:
         to 9 decimals, so mathematically tied scores fall through to the
         ascending package-id tie-break no matter how the floating-point
         sums were ordered; results are stable across BLAS implementations.
+        The reported scores (and the one tested against the threshold) are
+        one 1-D dot product per record, so they do not depend on where the
+        record's row sits in the matrix product.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -195,25 +194,23 @@ class AppIndex:
             raise EmptyQueryError("query is empty")
         if not self._order:
             return RetrievalOutcome(matches=(), best_score=None)
-        qvec = embed(self.backend, query)
-        scores = self._matrix @ qvec.values
-        best = float(scores.max())
+        qvec = embed(self.backend, query).values
+        scores = self._rows.scores(qvec)
+        best = float(qvec @ self._rows.row(int(scores.argmax())))
         if best < self.threshold:
             return RetrievalOutcome(matches=(), best_score=best)
-        ranked = sorted(
-            range(len(self._order)),
-            key=lambda i: (-round(float(scores[i]), 9), self._order[i]),
-        )
-        matches = tuple(
-            AppMatch(
-                package_id=self._order[i],
-                app_name=self._records[self._order[i]].app_name,
-                description=self._records[self._order[i]].description,
-                score=float(scores[i]),
+        matches = []
+        for row in top_k(scores, self._order, k):
+            record = self._records[self._order[row]]
+            matches.append(
+                AppMatch(
+                    package_id=record.package_id,
+                    app_name=record.app_name,
+                    description=record.description,
+                    score=float(qvec @ self._rows.row(row)),
+                )
             )
-            for i in ranked[:k]
-        )
-        return RetrievalOutcome(matches=matches, best_score=best)
+        return RetrievalOutcome(matches=tuple(matches), best_score=best)
 
     def register(
         self,
@@ -235,7 +232,6 @@ class AppIndex:
             return existing
         record = self._embed_seed(seed, installed, source)
         self._insert(record)
-        self._rebuild()
         return record
 
     # --- persistence ---
@@ -259,11 +255,20 @@ class AppIndex:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        """Write the index file atomically (see ``write_json_atomic``)."""
+        write_json_atomic(path, self.to_dict())
 
     @classmethod
-    def load(cls, path: str | Path, backend: EmbedderBackend | None = None) -> "AppIndex":
-        """Load an index file; resolves the backend by name if not given."""
+    def load(
+        cls,
+        path: str | Path,
+        backend: EmbedderBackend | None = None,
+        threshold: float | None = None,
+    ) -> "AppIndex":
+        """Load an index file; resolves the backend by name if not given.
+
+        ``threshold``, when given, replaces the threshold stored in the file.
+        """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if backend is None:
             backend = resolve_backend(data["backend"])
@@ -272,7 +277,7 @@ class AppIndex:
                 f"index file has dimension {data['dimension']}, "
                 f"backend {backend.name!r} produces {backend.dimension}"
             )
-        records = [
+        records = (
             AppRecord(
                 app_name=entry["name"],
                 package_id=entry["package_id"],
@@ -282,13 +287,8 @@ class AppIndex:
                 source=entry.get("source", SOURCE_PREINSTALLED),
             )
             for entry in data["apps"]
-        ]
-        seen: set[str] = set()
-        for record in records:
-            if record.package_id in seen:
-                raise DuplicatePackageIdError(record.package_id)
-            seen.add(record.package_id)
-        return cls(backend, data["threshold"], records)
+        )
+        return cls(backend, data["threshold"] if threshold is None else threshold, records)
 
 
 # --- training corpus --------------------------------------------------------

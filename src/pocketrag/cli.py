@@ -147,15 +147,16 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
             "max_planner_calls": args.max_planner_calls,
         },
     )
+    # thresholds follow flags > config > defaults, even over the ones saved in files
     if args.index:
-        index = AppIndex.load(args.index, backend=backend)
+        index = AppIndex.load(args.index, backend=backend, threshold=agent_config.tau_local)
     else:
         index = AppIndex.build(
             scenario.installed_apps, backend, threshold=agent_config.tau_local
         )
     memory_path = Path(args.memory) if args.memory else None
     if memory_path and memory_path.is_file():
-        memory = MemoryStore.load(memory_path, backend=backend)
+        memory = MemoryStore.load(memory_path, backend=backend, threshold=agent_config.tau_mem)
     else:
         memory = MemoryStore(backend, threshold=agent_config.tau_mem)
 

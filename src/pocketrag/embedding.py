@@ -1,15 +1,26 @@
-"""Text embedding backends and the cosine-similarity kernel.
+"""Text embedding backends and the exact inner-product search kernel.
 
 Every retrieval module in the package works on unit-norm vectors produced
 here, so similarity is always a plain dot product. Backends are pluggable;
 the shipped reference backend is a deterministic signed-hash bag-of-tokens
 embedder that needs no model weights.
+
+``VectorRows`` and ``top_k`` are the one search kernel that both the app
+index and the experience memory use: every stored vector is scored by a
+matrix product, and the best are ranked exactly, in the style of the flat
+inner-product index of FAISS (``IndexFlatIP``; Johnson, Douze and Jegou,
+arXiv:1702.08734). There is no approximate index.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import os
 import re
+import sys
+from pathlib import Path
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -46,23 +57,32 @@ class EmbeddingVector:
         array = np.asarray(values, dtype=np.float64)
         if array.ndim != 1 or array.size == 0:
             raise ValueError("embedding must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(array)):
+        # one dot product: any non-finite entry makes the squared norm non-finite
+        squared = float(array @ array)
+        if not math.isfinite(squared) and not np.isfinite(array).all():
             raise ValueError("embedding contains non-finite values")
-        norm = float(np.linalg.norm(array))
+        norm = math.sqrt(squared)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"embedding is not unit-norm (|v| = {norm!r})")
-        array = array.copy()
-        array.flags.writeable = False
-        self._values = array
+        self._values = _frozen(array.copy())
 
     @classmethod
     def from_raw(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
-        """Normalize an arbitrary vector. Raises ValueError on a zero vector."""
+        """Normalize an arbitrary vector. Raises ValueError on a zero vector.
+
+        The squared norm is one dot product. When it is a normal, finite
+        float every entry is finite and the quotient is unit-norm to within
+        rounding, so the result needs no second validation pass.
+        """
         array = np.asarray(values, dtype=np.float64)
-        norm = float(np.linalg.norm(array))
-        if norm == 0.0 or not np.isfinite(norm):
+        if array.ndim != 1 or array.size == 0:
+            raise ValueError("embedding must be a non-empty 1-D vector")
+        squared = float(array @ array)
+        if not sys.float_info.min <= squared <= sys.float_info.max:
             raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(array / norm)
+        vector = cls.__new__(cls)
+        vector._values = _frozen(array / math.sqrt(squared))
+        return vector
 
     @property
     def values(self) -> np.ndarray:
@@ -73,7 +93,7 @@ class EmbeddingVector:
         return int(self._values.shape[0])
 
     def to_list(self) -> list[float]:
-        return [float(x) for x in self._values]
+        return self._values.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingVector):
@@ -85,6 +105,11 @@ class EmbeddingVector:
     def __repr__(self) -> str:
         head = ", ".join(f"{x:.4f}" for x in self._values[:3])
         return f"EmbeddingVector(dim={self.dimension}, [{head}, ...])"
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @runtime_checkable
@@ -199,6 +224,99 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
         )
     score = float(np.dot(a.values, b.values))
     return min(1.0, max(-1.0, score))
+
+
+# --- exact inner-product search -------------------------------------------
+
+
+class VectorRows:
+    """Unit vectors stored once, as rows of fixed-size blocks.
+
+    Appending fills the last block and opens a new one when it is full, so
+    growth never copies stored rows. Removing a row moves the last row into
+    its slot, so the caller keeps its row-to-key map in step. Row order is
+    insertion order; ``top_k`` ranks by key, so it never needs sorting.
+    """
+
+    def __init__(self, dimension: int, block_rows: int = 1024) -> None:
+        self.dimension = dimension
+        self._block_rows = block_rows
+        self._blocks: list[np.ndarray] = []
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, values: np.ndarray) -> int:
+        """Store one vector and return its row number."""
+        block, offset = divmod(self._count, self._block_rows)
+        if block == len(self._blocks):
+            self._blocks.append(np.empty((self._block_rows, self.dimension)))
+        self._blocks[block][offset] = values
+        self._count += 1
+        return self._count - 1
+
+    def row(self, row: int) -> np.ndarray:
+        """The stored vector of ``row``, as a view; callers must not write to it."""
+        block, offset = divmod(row, self._block_rows)
+        return self._blocks[block][offset]
+
+    def swap_remove(self, row: int) -> None:
+        """Drop ``row`` by moving the last row into its slot.
+
+        Blocks are kept when they empty, so a store held at a capacity
+        that evicts on every commit reuses its last block.
+        """
+        last = self._count - 1
+        if row != last:
+            self.row(row)[:] = self.row(last)
+        self._count = last
+
+    def scores(self, query: np.ndarray) -> np.ndarray:
+        """Inner product of ``query`` with every row, in row order."""
+        full, rest = divmod(self._count, self._block_rows)
+        parts = [block @ query for block in self._blocks[:full]]
+        if rest:
+            parts.append(self._blocks[full][:rest] @ query)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
+    """Positions of the ``k`` best scores: rounded score descending, then key.
+
+    Equals ``sorted(range(n), key=lambda i: (-round(float(scores[i]), 9),
+    keys[i]))[:k]`` exactly. Rounding to 9 decimals moves a score by at most
+    5e-10, so a score more than 1e-8 below the k-th largest raw score can
+    never reach the top k; ``np.partition`` (``max`` when k is 1) finds
+    that bound in linear time and only the scores above it are sorted.
+    """
+    n = len(scores)
+    if n > 4 * k:
+        kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
+        candidates = np.flatnonzero(scores >= kth - 1e-8).tolist()
+    else:
+        candidates = range(n)
+    return sorted(candidates, key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
+
+
+def write_json_atomic(path: str | Path, data) -> None:
+    """Write ``data`` as indented JSON so that ``path`` is never half-written.
+
+    The text goes to a temporary file in the same directory, is flushed to
+    disk, and then replaces ``path`` in one ``os.replace``; a failure part
+    way leaves the previous file as it was.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data, indent=2))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # --- backend registry -----------------------------------------------------

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .app_index import AppSeed
+from .app_index import AppIndex, AppSeed
+from .embedding import EmbedderBackend
 from .errors import (
     AppNotInstalledError,
     DeviceStoppedError,
@@ -41,11 +42,8 @@ EFFECT_TRANSITIONED = "transitioned"
 EFFECT_NO_OP = "no_op"
 EFFECT_FLAG_UPDATE = "flag_update"
 
-# nominal abstract screen size; bounds are metadata only (no hit testing)
-SCREEN_WIDTH = 1080
-SCREEN_HEIGHT = 2400
-
-_FLAG_REF = re.compile(r"\{flag:([A-Za-z0-9_]+)\}")
+# ``{text}`` or ``{flag:name}`` in a flag-effect template
+_TEMPLATE_REF = re.compile(r"\{(?:text|flag:([A-Za-z0-9_]+))\}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,9 @@ class Transition:
     """Graph edge: optional next screen plus flag effects.
 
     Flag-effect values may contain ``{text}`` (replaced by the typed text)
-    and ``{flag:name}`` (replaced by the flag's current value).
+    and ``{flag:name}`` (replaced by the flag's current value). Both are
+    expanded in one pass over the template, so typed text and flag values
+    are inserted literally, never read as templates themselves.
     """
 
     next_screen: str | None = None
@@ -261,7 +261,8 @@ class Scenario:
 
     Installed apps, the downloadable store catalog, per-app screen graphs,
     the initial device state, and canned search fixtures for the knowledge
-    backend.
+    backend. The store catalog's ``AppIndex`` is built lazily, once per
+    scenario (see ``store_index``).
     """
 
     scenario_id: str
@@ -270,9 +271,29 @@ class Scenario:
     app_graphs: dict[str, AppGraph]
     initial_flags: dict[str, str] = field(default_factory=dict)
     search_fixtures: dict[str, list[dict[str, str]]] = field(default_factory=dict)
+    _store_indexes: dict[tuple[str, int, float], AppIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._validate()
+
+    def store_index(self, backend: EmbedderBackend, threshold: float) -> AppIndex:
+        """The store catalog indexed with ``backend`` at ``threshold``.
+
+        Built on the first call for each (backend name, dimension,
+        threshold) and kept on this scenario, so every device and task run
+        on it shares one store index; a new scenario builds its own. The
+        index holds store records (``installed=False``) and callers must
+        not register into it. Two threads racing on the first call may
+        both build it; the results are equal and either one is kept.
+        """
+        key = (backend.name, backend.dimension, float(threshold))
+        index = self._store_indexes.get(key)
+        if index is None:
+            index = AppIndex.build(self.store_catalog, backend, threshold, installed=False)
+            self._store_indexes[key] = index
+        return index
 
     def _validate(self) -> None:
         installed = {}
@@ -410,10 +431,6 @@ class Device:
         return sorted(self._installed)
 
     @property
-    def installed_seeds(self) -> list[AppSeed]:
-        return [self._installed[pid] for pid in sorted(self._installed)]
-
-    @property
     def store_seeds(self) -> list[AppSeed]:
         return [self._store[pid] for pid in sorted(self._store)]
 
@@ -540,10 +557,13 @@ class Device:
         if transition is None:
             return {}
         typed = action.text or ""
+
+        def expand(ref: re.Match) -> str:
+            return typed if ref.group(1) is None else self._flags.get(ref.group(1), "")
+
         changes: dict[str, str] = {}
         for flag, template in transition.flags:
-            value = template.replace("{text}", typed)
-            value = _FLAG_REF.sub(lambda m: self._flags.get(m.group(1), ""), value)
+            value = _TEMPLATE_REF.sub(expand, template)
             if self._flags.get(flag) != value:
                 self._flags[flag] = value
                 changes[flag] = value
@@ -571,13 +591,3 @@ class Device:
         self._installed[package_id] = seed
         self.install_count += 1
         return seed
-
-    # --- bookkeeping for metrics ---
-
-    def visited_screens(self) -> set[str]:
-        screens = {HOME_SCREEN}
-        for step in self.history:
-            screens.add(step.pre_screen_id)
-            screens.add(step.post_screen_id)
-        screens.add(self._screen_id)
-        return screens

@@ -5,6 +5,13 @@ replays the stored trace verbatim with zero planner involvement; a
 cosine-similar past query (score >= threshold, 0.8 by default) is handed
 to the planner as guidance; anything else is a miss. Only successful
 traces are ever committed.
+
+Each record's query embedding is stored once, as a row of the store's
+``VectorRows``; records themselves carry no vector. A non-exact lookup
+scores the query against every row in one matrix product and ranks with
+the shared ``top_k`` kernel; the winner's score is then recomputed as one
+1-D dot product, so routing and the reported score do not depend on the
+row layout. Evicting a record moves the last row into its slot.
 """
 
 from __future__ import annotations
@@ -18,9 +25,12 @@ from typing import Callable
 from .embedding import (
     EmbedderBackend,
     EmbeddingVector,
+    VectorRows,
     embed,
     normalize_text,
     resolve_backend,
+    top_k,
+    write_json_atomic,
 )
 from .errors import (
     EmptyQueryError,
@@ -44,11 +54,13 @@ ABORT_MISSING_TARGET = "missing_target"
 
 @dataclass(frozen=True)
 class MemoryRecord:
-    """One remembered success: the query, its embedding, and the trace."""
+    """One remembered success: the query and the trace.
+
+    The query's embedding lives in the owning store's row store.
+    """
 
     query_text: str
     normalized_query: str
-    embedding: EmbeddingVector
     trace: ActionTrace
     created_at: float
     success_count: int = 1
@@ -115,8 +127,8 @@ class MemoryStore:
         self.threshold = float(threshold)
         self.capacity = capacity
         self._clock = clock
-        self._records: dict[str, MemoryRecord] = {}
         self._next_seq = 0
+        self.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -125,7 +137,25 @@ class MemoryStore:
         return [self._records[key] for key in sorted(self._records)]
 
     def clear(self) -> None:
-        self._records.clear()
+        self._records: dict[str, MemoryRecord] = {}
+        self._rows = VectorRows(self.backend.dimension)
+        self._keys: list[str] = []  # normalized query of each row
+        self._row_of: dict[str, int] = {}
+
+    def _add(self, record: MemoryRecord, vector: EmbeddingVector) -> None:
+        key = record.normalized_query
+        self._records[key] = record
+        self._row_of[key] = self._rows.append(vector.values)
+        self._keys.append(key)
+
+    def _remove(self, key: str) -> None:
+        del self._records[key]
+        row = self._row_of.pop(key)
+        last = self._keys.pop()
+        if last != key:
+            self._keys[row] = last
+            self._row_of[last] = row
+        self._rows.swap_remove(row)
 
     def lookup(self, query: str) -> MemoryMatch:
         """Route a query: exact key match, best similar >= threshold, or none."""
@@ -137,20 +167,16 @@ class MemoryStore:
             return MemoryMatch(kind=MATCH_EXACT, record=record)
         if not self._records:
             return MemoryMatch(kind=MATCH_NONE)
-        qvec = embed(self.backend, query)
-        best_key: str | None = None
-        best_score = -2.0
-        # rounded comparison keeps tie-breaking (first key in sorted order)
-        # independent of floating-point summation order
-        for cand_key in sorted(self._records):
-            score = float(qvec.values @ self._records[cand_key].embedding.values)
-            if round(score, 9) > round(best_score, 9):
-                best_key, best_score = cand_key, score
-        if best_key is not None and best_score >= self.threshold:
+        qvec = embed(self.backend, query).values
+        # rounded ranking keeps the tie-break (smallest key) independent of
+        # floating-point summation order
+        (best,) = top_k(self._rows.scores(qvec), self._keys, 1)
+        score = float(qvec @ self._rows.row(best))
+        if score >= self.threshold:
             return MemoryMatch(
                 kind=MATCH_SIMILAR,
-                record=self._records[best_key],
-                score=min(1.0, best_score),
+                record=self._records[self._keys[best]],
+                score=min(1.0, score),
             )
         return MemoryMatch(kind=MATCH_NONE)
 
@@ -172,24 +198,24 @@ class MemoryStore:
             record = MemoryRecord(
                 query_text=existing.query_text,
                 normalized_query=key,
-                embedding=existing.embedding,
                 trace=trace,
                 created_at=existing.created_at,
                 success_count=existing.success_count + 1,
                 seq=existing.seq,
             )
+            self._records[key] = record
         else:
+            vector = embed(self.backend, query)
             record = MemoryRecord(
                 query_text=query,
                 normalized_query=key,
-                embedding=embed(self.backend, query),
                 trace=trace,
                 created_at=float(self._clock()),
                 success_count=1,
                 seq=self._next_seq,
             )
             self._next_seq += 1
-        self._records[key] = record
+            self._add(record, vector)
         self._evict_overflow()
         return record
 
@@ -200,7 +226,7 @@ class MemoryStore:
             oldest = min(
                 self._records.values(), key=lambda r: (r.created_at, r.seq)
             )
-            del self._records[oldest.normalized_query]
+            self._remove(oldest.normalized_query)
 
     # --- persistence ---
 
@@ -213,7 +239,7 @@ class MemoryStore:
                 {
                     "query": r.query_text,
                     "normalized_query": r.normalized_query,
-                    "embedding": r.embedding.to_list(),
+                    "embedding": self._rows.row(self._row_of[r.normalized_query]).tolist(),
                     "trace": r.trace.to_jsonable(),
                     "created_at": r.created_at,
                     "success_count": r.success_count,
@@ -227,7 +253,8 @@ class MemoryStore:
         return data
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        """Write the memory file atomically (see ``write_json_atomic``)."""
+        write_json_atomic(path, self.to_dict())
 
     @classmethod
     def load(
@@ -235,7 +262,9 @@ class MemoryStore:
         path: str | Path,
         backend: EmbedderBackend | None = None,
         clock: Callable[[], float] = time.time,
+        threshold: float | None = None,
     ) -> "MemoryStore":
+        """Load a memory file; ``threshold``, when given, replaces the stored one."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if backend is None:
             backend = resolve_backend(data["backend"])
@@ -244,24 +273,30 @@ class MemoryStore:
                 f"memory file has dimension {data['dimension']}, "
                 f"backend {backend.name!r} produces {backend.dimension}"
             )
-        store = cls(
-            backend,
-            threshold=data.get("threshold", DEFAULT_MEMORY_THRESHOLD),
-            capacity=data.get("capacity"),
-            clock=clock,
-        )
+        if threshold is None:
+            threshold = data.get("threshold", DEFAULT_MEMORY_THRESHOLD)
+        store = cls(backend, threshold=threshold, capacity=data.get("capacity"), clock=clock)
         max_seq = -1
         for entry in data.get("records", []):
             record = MemoryRecord(
                 query_text=entry["query"],
                 normalized_query=entry["normalized_query"],
-                embedding=EmbeddingVector(entry["embedding"]),
                 trace=ActionTrace.from_jsonable(entry["trace"]),
                 created_at=float(entry["created_at"]),
                 success_count=int(entry["success_count"]),
                 seq=int(entry.get("seq", 0)),
             )
-            store._records[record.normalized_query] = record
+            if record.normalized_query in store._records:
+                raise PocketRagError(
+                    f"memory file repeats the query {record.normalized_query!r}"
+                )
+            vector = EmbeddingVector(entry["embedding"])
+            if vector.dimension != backend.dimension:
+                raise PocketRagError(
+                    f"memory record {record.normalized_query!r} has dimension "
+                    f"{vector.dimension}, backend produces {backend.dimension}"
+                )
+            store._add(record, vector)
             max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
         return store

@@ -342,3 +342,45 @@ def test_reflect_on_noop_mode_only_reflects_noops(backend):
     index_of_noop, verdict = run.reflections[0]
     assert run.trace.steps[index_of_noop].effect == "no_op"
     assert not verdict.ok
+
+
+def test_store_index_is_built_once_per_scenario(backend, monkeypatch):
+    builds = []
+    build = AppIndex.build.__func__
+
+    def counting_build(cls, catalog, *args, **kwargs):
+        builds.append(kwargs.get("installed", True))
+        return build(cls, catalog, *args, **kwargs)
+
+    monkeypatch.setattr(AppIndex, "build", classmethod(counting_build))
+    scenario = Scenario.from_dict(mini_scenario_dict())
+    assert builds == []  # never at construction
+    for _ in range(2):
+        device = Device(scenario)
+        index = AppIndex.build(scenario.installed_apps, backend, threshold=0.3)
+        planner = ScriptedPlanner([{"do": "select_app", "query": "q", "pick": "com.weather"}])
+        result = select_and_open_app("weather forecast rain sunny", index, device, planner, CONFIG)
+        assert result.installed_from_store
+    # two local indexes, one store index shared by both misses
+    assert builds == [True, False, True]
+    assert scenario.store_index(backend, 0.3) is scenario.store_index(backend, 0.3)
+    assert scenario.store_index(backend, 0.4) is not scenario.store_index(backend, 0.3)
+    assert len(builds) == 4
+
+    # a fresh scenario from the same data builds its own: no cross-scenario cache
+    fresh = Scenario.from_dict(mini_scenario_dict())
+    assert fresh.store_index(backend, 0.3) is not scenario.store_index(backend, 0.3)
+    assert len(builds) == 5
+
+
+def test_store_index_is_not_mutated_by_installs(backend):
+    scenario, index, memory, search = build_world(backend)
+    run = run_task(
+        "Check the weather tomorrow.", scenario, index, memory, search,
+        ScriptedPlanner(KNOWLEDGE_SCRIPT), EffectReflector(), CONFIG,
+    )
+    assert run.outcome == "success"
+    store = scenario.store_index(backend, CONFIG.tau_local)
+    assert [r.package_id for r in store.records()] == ["com.weather"]
+    assert not store.get("com.weather").installed
+    assert "com.weather" in index

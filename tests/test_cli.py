@@ -170,3 +170,64 @@ def test_corpus_generate_counts(tmp_path, catalog_file, capsys):
 def test_pack_validate_cli(capsys):
     assert main(["pack", "validate", "--pack", PACK_DIR]) == 0
     assert "pack OK" in capsys.readouterr().out
+
+
+def test_run_tau_mem_flag_overrides_memory_file(tmp_path, scenario_file, task_file, capsys):
+    memory_path = tmp_path / "memory.json"
+    assert main([
+        "run", "--scenario", str(scenario_file), "--task", str(task_file),
+        "--memory", str(memory_path), "--tau-local", "0.3",
+    ]) == 0
+    assert json.loads(memory_path.read_text())["threshold"] == 0.8
+    capsys.readouterr()
+    # cosine 0.926 to the stored query: similar at the file's 0.8, none at 0.95
+    task = json.loads(task_file.read_text())
+    task["instruction"] = "Set an alarm for 8 am tomorrow."
+    variant = tmp_path / "variant.json"
+    variant.write_text(json.dumps(task))
+    assert main([
+        "run", "--scenario", str(scenario_file), "--task", str(variant),
+        "--memory", str(memory_path), "--tau-local", "0.3", "--tau-mem", "0.95",
+    ]) == 0
+    assert "memory_hit=none" in capsys.readouterr().out
+
+
+def test_run_tau_local_flag_overrides_index_file(tmp_path, scenario_file, task_file, capsys):
+    catalog = tmp_path / "installed.json"
+    catalog.write_text(json.dumps(mini_scenario_dict()["installed_apps"]))
+    index_path = tmp_path / "index.json"
+    assert main([
+        "index", "build", "--catalog", str(catalog), "--out", str(index_path),
+        "--threshold", "0.3",
+    ]) == 0
+    capsys.readouterr()
+    # the clock app scores 0.57 for the script's query: a hit at the file's
+    # 0.3, rejected at the flag's 0.99 (and the store has no clock app)
+    main([
+        "run", "--scenario", str(scenario_file), "--task", str(task_file),
+        "--index", str(index_path), "--tau-local", "0.99",
+    ])
+    out = capsys.readouterr().out
+    assert "launch com.clock" not in out
+
+
+def test_config_typo_exits_2(tmp_path, scenario_file, task_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"agent": {"tau_locl": 0.4}}))
+    code = main([
+        "--config", str(config), "run", "--scenario", str(scenario_file),
+        "--task", str(task_file),
+    ])
+    assert code == 2
+    assert "tau_locl" in capsys.readouterr().err
+
+
+def test_config_bad_value_exits_2(tmp_path, scenario_file, task_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"agent": {"tau_mem": 1.5}}))
+    code = main([
+        "--config", str(config), "run", "--scenario", str(scenario_file),
+        "--task", str(task_file),
+    ])
+    assert code == 2
+    assert "tau_mem" in capsys.readouterr().err

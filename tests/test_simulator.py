@@ -20,7 +20,7 @@ from pocketrag.simulator import (
     UiElement,
 )
 
-from conftest import mini_scenario_dict
+from conftest import PACK_DIR, mini_scenario_dict
 
 
 def fresh_device() -> Device:
@@ -315,3 +315,33 @@ def test_scenario_rejects_conflicting_catalog_overlap():
     )
     with pytest.raises(ScenarioError):
         Scenario.from_dict(data)
+
+
+def test_typed_text_is_stored_literally():
+    device = Device(Scenario.from_file(f"{PACK_DIR}/scenarios/alarm_basic.json"))
+    for action in (
+        Action.launch("com.deskos.clock"),
+        Action.tap("alarms_tab"),
+        Action.tap("add_alarm"),
+        Action.type_text("time_field", "08:00"),
+        Action.tap("save_alarm"),
+        Action.launch("com.deskos.notes"),
+        Action.tap("new_note"),
+        Action.type_text("note_body", "{flag:alarm_set}"),
+    ):
+        device.execute(action)
+    flags = device.observe().state_flags
+    assert flags["alarm_set"] == "08:00"
+    assert flags["note_draft"] == "{flag:alarm_set}"
+    device.execute(Action.tap("save_note"))
+    # a flag value is inserted as it is, never expanded again
+    assert device.observe().state_flags["note_saved"] == "{flag:alarm_set}"
+
+
+def test_typed_text_placeholder_is_not_expanded(mini_scenario):
+    device = Device(mini_scenario)
+    device.execute(Action.launch("com.clock"))
+    device.execute(Action.tap("alarms_tab"))
+    device.execute(Action.type_text("time_field", "{text} at {flag:missing}"))
+    device.execute(Action.tap("save_alarm"))
+    assert device.observe().state_flags["alarm_set"] == "{text} at {flag:missing}"

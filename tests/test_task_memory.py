@@ -235,3 +235,57 @@ def test_replay_aborts_on_uninstalled_launch(store):
     assert not outcome.completed
     assert outcome.abort_index == 0
     assert outcome.reason == "AppNotInstalledError"
+
+
+# --- lookup against the per-record oracle ---------------------------------------
+
+TREES = "redwood maple spruce cedar willow oak".split()
+
+
+def oracle_lookup(store: MemoryStore, backend, query: str):
+    """The original per-record loop: sorted keys, rounded comparison, 1-D dots."""
+    records = {r.normalized_query: r for r in store.records()}
+    key = normalize_text(query)
+    if key in records:
+        return ("exact", key, None)
+    if not records:
+        return ("none", None, None)
+    qvec = embed(backend, query)
+    best_key, best_score = None, -2.0
+    for cand_key in sorted(records):
+        score = float(qvec.values @ embed(backend, records[cand_key].query_text).values)
+        if round(score, 9) > round(best_score, 9):
+            best_key, best_score = cand_key, score
+    if best_score >= store.threshold:
+        return ("similar", best_key, min(1.0, best_score))
+    return ("none", None, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["commit", "lookup"]),
+            st.lists(st.sampled_from(TREES), min_size=1, max_size=5),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.one_of(st.none(), st.integers(1, 12)),
+    st.sampled_from([0.3, 0.5, 0.8]),
+)
+def test_lookup_equals_per_record_oracle(operations, capacity, threshold):
+    backend = HashedTokenEmbedder()
+    counter = itertools.count(1)
+    store = MemoryStore(
+        backend, threshold=threshold, capacity=capacity, clock=lambda: float(next(counter))
+    )
+    trace = make_trace()
+    for op, words in operations:
+        query = " ".join(words)
+        if op == "commit":
+            store.commit(query, trace)
+            continue
+        match = store.lookup(query)
+        key = match.record.normalized_query if match.record is not None else None
+        assert (match.kind, key, match.score) == oracle_lookup(store, backend, query)
