@@ -9,9 +9,10 @@ nothing local clears the threshold), actions are executed and reflected
 on. Successful runs are committed back to memory.
 
 The store catalog's index is built on the first local miss and kept on the
-``Scenario`` (``Scenario.store_index``, keyed by backend name, dimension and
-threshold), so later misses on that scenario object reuse it. Nothing is
-cached process-wide: a freshly loaded scenario builds its own.
+``Scenario`` (``Scenario.store_index``, keyed by backend and threshold, where
+backends that compare equal embed alike), so later misses on that scenario
+object reuse it. Nothing is cached process-wide: a freshly loaded scenario
+builds its own.
 
 Cost model: a knowledge request is 1 planner call and 0 mobile steps; an
 app selection is 1 planner call, with the launch costing 1 mobile step
@@ -98,7 +99,7 @@ class AgentConfig:
             raise PocketRagError(f"unknown agent config key(s): {', '.join(unknown)}")
         try:
             return cls(**data)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise PocketRagError(f"invalid agent config: {exc}") from exc
 
 

@@ -3,7 +3,8 @@
 The index embeds every app description once and answers queries with the
 top-k scored matches, or an explicit no-match outcome when even the best
 score sits below the configured threshold; scoring and ranking use the
-shared exact kernel (``VectorRows`` and ``top_k``). It also generates the
+shared exact kernel (``VectorRows`` and ``top_k``), which keeps a copy of
+each record's ``embedding`` as a row. It also generates the
 contrastive training corpus (query, positive, negatives) used to fine-tune
 a real retrieval model offline.
 """

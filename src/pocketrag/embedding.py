@@ -19,7 +19,6 @@ import json
 import math
 import os
 import re
-import sys
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -68,21 +67,13 @@ class EmbeddingVector:
 
     @classmethod
     def from_raw(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
-        """Normalize an arbitrary vector. Raises ValueError on a zero vector.
-
-        The squared norm is one dot product. When it is a normal, finite
-        float every entry is finite and the quotient is unit-norm to within
-        rounding, so the result needs no second validation pass.
-        """
+        """Normalize an arbitrary vector. Raises ValueError on a zero vector."""
         array = np.asarray(values, dtype=np.float64)
-        if array.ndim != 1 or array.size == 0:
-            raise ValueError("embedding must be a non-empty 1-D vector")
-        squared = float(array @ array)
-        if not sys.float_info.min <= squared <= sys.float_info.max:
+        flat = array.ravel()
+        norm = math.sqrt(float(flat @ flat))
+        if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("cannot normalize a zero or non-finite vector")
-        vector = cls.__new__(cls)
-        vector._values = _frozen(array / math.sqrt(squared))
-        return vector
+        return cls(array / norm)
 
     @property
     def values(self) -> np.ndarray:
@@ -140,6 +131,16 @@ class HashedTokenEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.name = f"hashed-token-{dimension}"
+
+    # the dimension fixes every vector, so equal backends embed alike and
+    # may share anything built from their vectors (see Scenario.store_index)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dimension == other.dimension
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.dimension))
 
     def encode(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
@@ -228,9 +229,11 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 # --- exact inner-product search -------------------------------------------
 
+_BLOCK_ROWS = 1024  # rows per block of a VectorRows store
+
 
 class VectorRows:
-    """Unit vectors stored once, as rows of fixed-size blocks.
+    """Unit vectors stored as rows of fixed-size blocks.
 
     Appending fills the last block and opens a new one when it is full, so
     growth never copies stored rows. Removing a row moves the last row into
@@ -238,9 +241,8 @@ class VectorRows:
     insertion order; ``top_k`` ranks by key, so it never needs sorting.
     """
 
-    def __init__(self, dimension: int, block_rows: int = 1024) -> None:
+    def __init__(self, dimension: int) -> None:
         self.dimension = dimension
-        self._block_rows = block_rows
         self._blocks: list[np.ndarray] = []
         self._count = 0
 
@@ -249,16 +251,16 @@ class VectorRows:
 
     def append(self, values: np.ndarray) -> int:
         """Store one vector and return its row number."""
-        block, offset = divmod(self._count, self._block_rows)
+        block, offset = divmod(self._count, _BLOCK_ROWS)
         if block == len(self._blocks):
-            self._blocks.append(np.empty((self._block_rows, self.dimension)))
+            self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
         self._blocks[block][offset] = values
         self._count += 1
         return self._count - 1
 
     def row(self, row: int) -> np.ndarray:
         """The stored vector of ``row``, as a view; callers must not write to it."""
-        block, offset = divmod(row, self._block_rows)
+        block, offset = divmod(row, _BLOCK_ROWS)
         return self._blocks[block][offset]
 
     def swap_remove(self, row: int) -> None:
@@ -274,7 +276,7 @@ class VectorRows:
 
     def scores(self, query: np.ndarray) -> np.ndarray:
         """Inner product of ``query`` with every row, in row order."""
-        full, rest = divmod(self._count, self._block_rows)
+        full, rest = divmod(self._count, _BLOCK_ROWS)
         parts = [block @ query for block in self._blocks[:full]]
         if rest:
             parts.append(self._blocks[full][:rest] @ query)

@@ -271,7 +271,7 @@ class Scenario:
     app_graphs: dict[str, AppGraph]
     initial_flags: dict[str, str] = field(default_factory=dict)
     search_fixtures: dict[str, list[dict[str, str]]] = field(default_factory=dict)
-    _store_indexes: dict[tuple[str, int, float], AppIndex] = field(
+    _store_indexes: dict[tuple[EmbedderBackend, float], AppIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -281,14 +281,17 @@ class Scenario:
     def store_index(self, backend: EmbedderBackend, threshold: float) -> AppIndex:
         """The store catalog indexed with ``backend`` at ``threshold``.
 
-        Built on the first call for each (backend name, dimension,
-        threshold) and kept on this scenario, so every device and task run
-        on it shares one store index; a new scenario builds its own. The
-        index holds store records (``installed=False``) and callers must
-        not register into it. Two threads racing on the first call may
+        Built on the first call for each (backend, threshold) and kept on
+        this scenario, so every device and task run on it shares one store
+        index; a new scenario builds its own. Backends are compared with
+        ``==``, which is identity unless the backend class says that two
+        instances embed alike (``HashedTokenEmbedder`` does, by dimension),
+        so a backend never receives an index built by a different model.
+        The index holds store records (``installed=False``) and callers
+        must not register into it. Two threads racing on the first call may
         both build it; the results are equal and either one is kept.
         """
-        key = (backend.name, backend.dimension, float(threshold))
+        key = (backend, float(threshold))
         index = self._store_indexes.get(key)
         if index is None:
             index = AppIndex.build(self.store_catalog, backend, threshold, installed=False)

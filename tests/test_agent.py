@@ -13,6 +13,7 @@ from pocketrag.agent import (
     select_and_open_app,
 )
 from pocketrag.app_index import AppIndex
+from pocketrag.embedding import HashedTokenEmbedder
 from pocketrag.errors import NoAppAnywhereError, ScenarioMismatchError
 from pocketrag.planning import EffectReflector, ScriptedPlanner
 from pocketrag.simulator import Device, Scenario
@@ -384,3 +385,35 @@ def test_store_index_is_not_mutated_by_installs(backend):
     assert [r.package_id for r in store.records()] == ["com.weather"]
     assert not store.get("com.weather").installed
     assert "com.weather" in index
+
+
+class SaltedEmbedder:
+    """A backend whose vectors depend on ``salt``; every instance has one name."""
+
+    name = "http"
+
+    def __init__(self, salt: str, dimension: int = 64) -> None:
+        self.dimension = dimension
+        self._salt = salt
+        self._inner = HashedTokenEmbedder(dimension)
+
+    def encode(self, text):
+        return self._inner.encode(f"{self._salt} {text}")
+
+
+def test_store_index_is_never_shared_between_different_backends():
+    scenario = Scenario.from_dict(mini_scenario_dict())
+    first, second = SaltedEmbedder("alpha"), SaltedEmbedder("omega")
+    first_index = scenario.store_index(first, 0.3)
+    second_index = scenario.store_index(second, 0.3)
+    assert second_index is not first_index
+    assert second_index.backend is second
+    assert second_index.get("com.weather").embedding != first_index.get("com.weather").embedding
+    assert scenario.store_index(first, 0.3) is first_index
+
+
+def test_store_index_is_shared_between_equal_backends():
+    scenario = Scenario.from_dict(mini_scenario_dict())
+    index = scenario.store_index(HashedTokenEmbedder(64), 0.3)
+    assert scenario.store_index(HashedTokenEmbedder(64), 0.3) is index
+    assert scenario.store_index(HashedTokenEmbedder(32), 0.3) is not index

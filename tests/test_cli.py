@@ -222,12 +222,17 @@ def test_config_typo_exits_2(tmp_path, scenario_file, task_file, capsys):
     assert "tau_locl" in capsys.readouterr().err
 
 
-def test_config_bad_value_exits_2(tmp_path, scenario_file, task_file, capsys):
+@pytest.mark.parametrize(
+    "agent_config",
+    [{"tau_mem": 1.5}, {"tau_local": "0.4"}, {"k_apps": None}],
+    ids=["out-of-range", "string", "null"],
+)
+def test_config_bad_value_exits_2(tmp_path, scenario_file, task_file, capsys, agent_config):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"agent": {"tau_mem": 1.5}}))
+    config.write_text(json.dumps({"agent": agent_config}))
     code = main([
         "--config", str(config), "run", "--scenario", str(scenario_file),
         "--task", str(task_file),
     ])
     assert code == 2
-    assert "tau_mem" in capsys.readouterr().err
+    assert "invalid agent config" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pocketrag import embedding
 from pocketrag.embedding import VectorRows, top_k
 
 # offsets that force exact ties, ties after rounding to 9 decimals, and
@@ -67,9 +68,14 @@ def test_top_k_with_k_above_n_returns_all():
     assert top_k(np.array([]), [], 3) == []
 
 
-def rows_and_mirror(count, dimension=4, block_rows=3, seed=0):
+# enough rows to fill two blocks and open a third
+BLOCK = embedding._BLOCK_ROWS
+N = 2 * BLOCK + 1
+
+
+def rows_and_mirror(count=N, dimension=4, seed=0):
     rng = np.random.default_rng(seed)
-    rows = VectorRows(dimension, block_rows=block_rows)
+    rows = VectorRows(dimension)
     mirror = []
     for _ in range(count):
         vector = rng.standard_normal(dimension)
@@ -78,34 +84,47 @@ def rows_and_mirror(count, dimension=4, block_rows=3, seed=0):
     return rows, mirror
 
 
+def stored(rows):
+    return np.array([rows.row(i) for i in range(len(rows))]).reshape(len(rows), rows.dimension)
+
+
 def test_rows_span_blocks_and_score_in_row_order():
-    rows, mirror = rows_and_mirror(7)
+    rows, mirror = rows_and_mirror()
     query = np.arange(4, dtype=np.float64)
-    assert len(rows) == 7
-    for i, vector in enumerate(mirror):
-        assert np.array_equal(rows.row(i), vector)
+    assert len(rows) == N
+    assert np.array_equal(stored(rows), np.stack(mirror))
     assert np.allclose(rows.scores(query), np.stack(mirror) @ query)
 
 
 def test_rows_growth_never_moves_stored_rows():
-    rows, _ = rows_and_mirror(3)
+    rows, _ = rows_and_mirror(BLOCK)
     first = rows.row(0)
-    rows.append(np.ones(4))
+    rows.append(np.ones(4))  # opens the second block
     assert np.shares_memory(first, rows.row(0))
 
 
-@pytest.mark.parametrize("remove", [[0], [6], [3, 3, 0], [6, 5, 4, 3, 2, 1, 0]])
+@pytest.mark.parametrize(
+    "remove", [[0], [N - 1], [BLOCK, BLOCK, 0], [N - 1, N - 2, BLOCK - 1]]
+)
 def test_swap_remove_moves_last_row_into_the_gap(remove):
-    rows, mirror = rows_and_mirror(7)
+    rows, mirror = rows_and_mirror()
     for row in remove:
         mirror[row] = mirror[-1]
         mirror.pop()
         rows.swap_remove(row)
-        assert len(rows) == len(mirror)
-        for i, vector in enumerate(mirror):
-            assert np.array_equal(rows.row(i), vector)
-    if mirror:
-        assert np.allclose(rows.scores(np.ones(4)), np.stack(mirror) @ np.ones(4))
-    # a drained store accepts rows again
+        assert np.array_equal(stored(rows), np.stack(mirror))
+    assert np.allclose(rows.scores(np.ones(4)), np.stack(mirror) @ np.ones(4))
+
+
+def test_drained_rows_accept_rows_again():
+    rows, mirror = rows_and_mirror()
+    while mirror:
+        mirror[0] = mirror[-1]
+        mirror.pop()
+        rows.swap_remove(0)
+        if mirror:
+            assert np.array_equal(rows.row(0), mirror[0])
+    assert len(rows) == 0
     rows.append(np.zeros(4))
-    assert len(rows) == len(mirror) + 1
+    assert len(rows) == 1
+    assert np.array_equal(rows.scores(np.ones(4)), [0.0])
