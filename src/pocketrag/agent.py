@@ -276,8 +276,7 @@ def run_task(
     sync as the run proceeds).
     """
     device = Device(scenario)
-    index_packages = {record.package_id for record in index.records()}
-    if index_packages != set(device.installed_packages):
+    if set(index) != set(device.installed_packages):
         raise ScenarioMismatchError(
             "index packages do not match the scenario's installed apps"
         )

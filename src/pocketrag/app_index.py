@@ -3,10 +3,13 @@
 The index embeds every app description once and answers queries with the
 top-k scored matches, or an explicit no-match outcome when even the best
 score sits below the configured threshold; scoring and ranking use the
-shared exact kernel (``VectorRows`` and ``top_k``), which keeps a copy of
-each record's ``embedding`` as a row. It also generates the
-contrastive training corpus (query, positive, negatives) used to fine-tune
-a real retrieval model offline.
+shared exact kernel (``VectorRows`` and ``top_k``). Each app's vector is
+held once, as its row: ``build`` checks every catalog entry, then embeds
+the catalog in batches (``embed_many``) that are copied into the row
+store, and the ``AppRecord`` that ``get``, ``records`` and ``register``
+return is built on demand with its ``embedding`` copied from the row. It
+also generates the contrastive training corpus (query, positive,
+negatives) used to fine-tune a real retrieval model offline.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .embedding import (
     EmbedderBackend,
     EmbeddingVector,
     VectorRows,
     embed,
+    embed_many,
     resolve_backend,
     tokenize,
     top_k,
@@ -29,9 +33,11 @@ from .embedding import (
 )
 from .errors import (
     ConflictingRecordError,
+    DimensionMismatchError,
     DuplicatePackageIdError,
     EmptyDescriptionError,
     EmptyQueryError,
+    MalformedEntryError,
     QuerySourceFailureError,
 )
 
@@ -39,6 +45,10 @@ NONE_SENTINEL = "NONE"
 
 SOURCE_PREINSTALLED = "preinstalled"
 SOURCE_STORE = "store_installed"
+
+# catalog rows embedded per batch before they are copied into the row store;
+# 128 rows (384 KB at 384 dimensions) keep the batch a small share of peak memory
+_BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -51,11 +61,15 @@ class AppSeed:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AppSeed":
-        return cls(
-            app_name=str(data.get("name") or data.get("app_name") or ""),
-            package_id=str(data["package_id"]),
-            description=str(data["description"]),
-        )
+        """Raises MalformedEntryError when ``package_id`` or ``description`` is missing."""
+        try:
+            return cls(
+                app_name=str(data.get("name") or data.get("app_name") or ""),
+                package_id=str(data["package_id"]),
+                description=str(data["description"]),
+            )
+        except (KeyError, AttributeError, TypeError) as exc:
+            raise MalformedEntryError(f"app entry {data!r} is malformed: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -97,12 +111,21 @@ class RetrievalOutcome:
         return bool(self.matches)
 
 
+class _Entry(NamedTuple):
+    """An indexed app as the index keeps it; its vector is row ``row``."""
+
+    seed: AppSeed
+    installed: bool
+    source: str
+    row: int
+
+
 class AppIndex:
     """Exhaustive-scan cosine index over app descriptions.
 
     Supports many concurrent readers; ``register`` requires exclusive
     access (single-writer contract). The threshold is fixed at
-    construction.
+    construction. Iterating yields the package ids in insertion order.
     """
 
     def __init__(
@@ -115,7 +138,7 @@ class AppIndex:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         self.backend = backend
         self.threshold = float(threshold)
-        self._records: dict[str, AppRecord] = {}
+        self._records: dict[str, _Entry] = {}
         self._order: list[str] = []  # package id of each row, insertion order
         self._rows = VectorRows(backend.dimension)
         for record in records:
@@ -130,39 +153,60 @@ class AppIndex:
         installed: bool = True,
         source: str = SOURCE_PREINSTALLED,
     ) -> "AppIndex":
-        """Embed a catalog of seeds into a fresh index."""
+        """Embed a catalog of seeds into a fresh index.
+
+        Every entry is checked before any is embedded, so a malformed entry
+        anywhere fails the build before the embedding work starts.
+        """
         index = cls(backend, threshold)
-        for entry in catalog:
-            seed = entry if isinstance(entry, AppSeed) else AppSeed.from_dict(entry)
-            index._insert(index._embed_seed(seed, installed, source))
+        seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
+        index._add(seeds, installed, source)
         return index
 
-    def _embed_seed(self, seed: AppSeed, installed: bool, source: str) -> AppRecord:
-        if not seed.package_id:
-            raise ValueError("catalog entry has an empty package_id")
-        if not seed.description.strip():
-            raise EmptyDescriptionError(seed.package_id)
-        vector = embed(self.backend, seed.description)
-        return AppRecord(
-            app_name=seed.app_name,
-            package_id=seed.package_id,
-            description=seed.description,
-            embedding=vector,
-            installed=installed,
-            source=source,
-        )
+    def _add(self, seeds: list[AppSeed], installed: bool, source: str) -> None:
+        """Check every seed, then embed them ``_BATCH_ROWS`` at a time into new rows."""
+        new: set[str] = set()
+        for position, seed in enumerate(seeds):
+            if not seed.package_id:
+                raise MalformedEntryError(
+                    f"catalog entry {position} ({seed.app_name!r}) has an empty package_id"
+                )
+            if not seed.description.strip():
+                raise EmptyDescriptionError(seed.package_id)
+            if seed.package_id in self._records or seed.package_id in new:
+                raise DuplicatePackageIdError(seed.package_id)
+            new.add(seed.package_id)
+        for start in range(0, len(seeds), _BATCH_ROWS):
+            chunk = seeds[start : start + _BATCH_ROWS]
+            self._rows.extend(embed_many(self.backend, [seed.description for seed in chunk]))
+            for seed in chunk:
+                self._records[seed.package_id] = _Entry(seed, installed, source, len(self._order))
+                self._order.append(seed.package_id)
 
     def _insert(self, record: AppRecord) -> None:
         if record.package_id in self._records:
             raise DuplicatePackageIdError(record.package_id)
         if record.embedding.dimension != self.backend.dimension:
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"record {record.package_id} has dimension "
                 f"{record.embedding.dimension}, index uses {self.backend.dimension}"
             )
-        self._records[record.package_id] = record
+        seed = AppSeed(record.app_name, record.package_id, record.description)
+        self._records[record.package_id] = _Entry(
+            seed, record.installed, record.source, self._rows.append(record.embedding.values)
+        )
         self._order.append(record.package_id)
-        self._rows.append(record.embedding.values)
+
+    def _record(self, entry: _Entry) -> AppRecord:
+        seed = entry.seed
+        return AppRecord(
+            app_name=seed.app_name,
+            package_id=seed.package_id,
+            description=seed.description,
+            embedding=EmbeddingVector(self._rows.row(entry.row)),
+            installed=entry.installed,
+            source=entry.source,
+        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -170,12 +214,16 @@ class AppIndex:
     def __contains__(self, package_id: str) -> bool:
         return package_id in self._records
 
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._order)
+
     def get(self, package_id: str) -> AppRecord | None:
-        return self._records.get(package_id)
+        entry = self._records.get(package_id)
+        return None if entry is None else self._record(entry)
 
     def records(self) -> list[AppRecord]:
         """Every record, in ascending package-id order."""
-        return [self._records[pid] for pid in sorted(self._records)]
+        return [self._record(self._records[pid]) for pid in sorted(self._records)]
 
     def retrieve(self, query: str, k: int = 3) -> RetrievalOutcome:
         """Score every record against ``query`` and return the top ``k``.
@@ -202,12 +250,12 @@ class AppIndex:
             return RetrievalOutcome(matches=(), best_score=best)
         matches = []
         for row in top_k(scores, self._order, k):
-            record = self._records[self._order[row]]
+            seed = self._records[self._order[row]].seed
             matches.append(
                 AppMatch(
-                    package_id=record.package_id,
-                    app_name=record.app_name,
-                    description=record.description,
+                    package_id=seed.package_id,
+                    app_name=seed.app_name,
+                    description=seed.description,
                     score=float(qvec @ self._rows.row(row)),
                 )
             )
@@ -226,14 +274,13 @@ class AppIndex:
         """
         existing = self._records.get(seed.package_id)
         if existing is not None:
-            if existing.description != seed.description:
+            if existing.seed.description != seed.description:
                 raise ConflictingRecordError(
                     f"{seed.package_id} already indexed with a different description"
                 )
-            return existing
-        record = self._embed_seed(seed, installed, source)
-        self._insert(record)
-        return record
+            return self._record(existing)
+        self._add([seed], installed, source)
+        return self._record(self._records[seed.package_id])
 
     # --- persistence ---
 
@@ -244,14 +291,14 @@ class AppIndex:
             "threshold": self.threshold,
             "apps": [
                 {
-                    "name": r.app_name,
-                    "package_id": r.package_id,
-                    "description": r.description,
-                    "embedding": r.embedding.to_list(),
-                    "installed": r.installed,
-                    "source": r.source,
+                    "name": e.seed.app_name,
+                    "package_id": e.seed.package_id,
+                    "description": e.seed.description,
+                    "embedding": self._rows.row(e.row).tolist(),
+                    "installed": e.installed,
+                    "source": e.source,
                 }
-                for r in self.records()
+                for e in (self._records[pid] for pid in sorted(self._records))
             ],
         }
 
@@ -269,27 +316,40 @@ class AppIndex:
         """Load an index file; resolves the backend by name if not given.
 
         ``threshold``, when given, replaces the threshold stored in the file.
+        Raises a PocketRagError (MalformedEntryError names the entry) when a
+        field is missing or invalid, a vector is not unit-norm, or the file's
+        dimension differs from the backend's.
         """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if backend is None:
-            backend = resolve_backend(data["backend"])
-        if backend.dimension != data["dimension"]:
-            raise ValueError(
-                f"index file has dimension {data['dimension']}, "
-                f"backend {backend.name!r} produces {backend.dimension}"
-            )
-        records = (
-            AppRecord(
-                app_name=entry["name"],
-                package_id=entry["package_id"],
-                description=entry["description"],
-                embedding=EmbeddingVector(entry["embedding"]),
-                installed=bool(entry.get("installed", True)),
-                source=entry.get("source", SOURCE_PREINSTALLED),
-            )
-            for entry in data["apps"]
-        )
-        return cls(backend, data["threshold"] if threshold is None else threshold, records)
+        try:
+            if backend is None:
+                backend = resolve_backend(data["backend"])
+            if backend.dimension != data["dimension"]:
+                raise DimensionMismatchError(
+                    f"index file has dimension {data['dimension']}, "
+                    f"backend {backend.name!r} produces {backend.dimension}"
+                )
+            index = cls(backend, data["threshold"] if threshold is None else threshold)
+            entries = list(data["apps"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedEntryError(f"index file {str(path)!r}: {exc!r}") from exc
+        for position, entry in enumerate(entries):
+            try:
+                record = AppRecord(
+                    app_name=entry["name"],
+                    package_id=entry["package_id"],
+                    description=entry["description"],
+                    embedding=EmbeddingVector(entry["embedding"]),
+                    installed=bool(entry.get("installed", True)),
+                    source=entry.get("source", SOURCE_PREINSTALLED),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                pid = entry.get("package_id") if isinstance(entry, dict) else None
+                raise MalformedEntryError(
+                    f"index file {str(path)!r}, app entry {position} ({pid!r}): {exc!r}"
+                ) from exc
+            index._insert(record)
+        return index
 
 
 # --- training corpus --------------------------------------------------------

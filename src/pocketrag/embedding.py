@@ -5,6 +5,18 @@ here, so similarity is always a plain dot product. Backends are pluggable;
 the shipped reference backend is a deterministic signed-hash bag-of-tokens
 embedder that needs no model weights.
 
+``embed_many`` is the one path from text to unit vectors: it encodes a
+batch of texts into the rows of one matrix, each row divided by the norm
+from its own dot product, so row ``i`` is bit-identical to embedding
+``texts[i]`` on its own; the unit-norm check then runs over the whole
+matrix at once. ``embed`` is ``embed_many`` of a single text.
+
+The reference backend's token hash is a pure function of the token, so it
+is memoised process-wide in a bounded LRU cache (``_token_hash``, 65,536
+tokens) and shared by every ``HashedTokenEmbedder`` whatever its dimension;
+the hashing trick itself follows Weinberger et al., "Feature Hashing for
+Large Scale Multitask Learning" (arXiv:0902.2206).
+
 ``VectorRows`` and ``top_k`` are the one search kernel that both the app
 index and the experience memory use: every stored vector is scored by a
 matrix product, and the best are ranked exactly, in the style of the flat
@@ -14,6 +26,7 @@ arXiv:1702.08734). There is no approximate index.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -57,7 +70,7 @@ class EmbeddingVector:
         if array.ndim != 1 or array.size == 0:
             raise ValueError("embedding must be a non-empty 1-D vector")
         # one dot product: any non-finite entry makes the squared norm non-finite
-        squared = float(array @ array)
+        squared = float(array.dot(array))
         if not math.isfinite(squared) and not np.isfinite(array).all():
             raise ValueError("embedding contains non-finite values")
         norm = math.sqrt(squared)
@@ -143,13 +156,19 @@ class HashedTokenEmbedder:
         return hash((type(self), self.dimension))
 
     def encode(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        dimension = self.dimension
+        vec = np.zeros(dimension, dtype=np.float64)
         for token in tokenize(text):
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "little")
-            sign = 1.0 if (value >> 63) & 1 == 0 else -1.0
-            vec[value % self.dimension] += sign
+            value = _token_hash(token)
+            vec[value % dimension] += -1.0 if value >> 63 else 1.0
         return vec
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _token_hash(token: str) -> int:
+    """The token's 64-bit blake2b value: bucket and sign for any dimension."""
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 class HttpEmbedderBackend:
@@ -193,28 +212,52 @@ class HttpEmbedderBackend:
 def embed(backend: EmbedderBackend, text: str) -> EmbeddingVector:
     """Embed ``text`` with ``backend`` and normalize the result.
 
-    Raises EmptyTextError when the text trims to nothing or embeds to a
-    zero vector, and BackendFailureError when the backend raises or
-    returns a vector of the wrong shape.
+    ``embed_many`` of the one text; it raises the same errors.
     """
-    trimmed = text.strip()
-    if not trimmed:
-        raise EmptyTextError("cannot embed empty text")
-    try:
-        raw = np.asarray(backend.encode(trimmed), dtype=np.float64)
-    except (EmptyTextError, BackendFailureError):
-        raise
-    except Exception as exc:
-        raise BackendFailureError(f"backend {backend.name!r} failed: {exc}") from exc
-    if raw.ndim != 1 or raw.shape[0] != backend.dimension:
-        raise BackendFailureError(
-            f"backend {backend.name!r} returned shape {raw.shape}, "
-            f"expected ({backend.dimension},)"
-        )
-    try:
-        return EmbeddingVector.from_raw(raw)
-    except ValueError as exc:
-        raise EmptyTextError(f"text {trimmed!r} has no embeddable content") from exc
+    return EmbeddingVector(embed_many(backend, [text])[0])
+
+
+def embed_many(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
+    """Embed every text into one row of an ``(n, dimension)`` float64 matrix.
+
+    Calls ``backend.encode`` once per text and writes the vector divided by
+    the square root of its own dot product into the text's row, so row ``i``
+    is bit-identical to ``embed(backend, texts[i]).values``. Texts are
+    checked in order: raises EmptyTextError when a text trims to nothing or
+    embeds to a zero (or non-finite) vector, and BackendFailureError when the
+    backend raises or returns a vector of the wrong shape. The unit-norm
+    check then runs over the whole matrix and raises EmptyTextError for the
+    first row that fails it.
+    """
+    matrix = np.empty((len(texts), backend.dimension))
+    for i, text in enumerate(texts):
+        trimmed = text.strip()
+        if not trimmed:
+            raise EmptyTextError("cannot embed empty text")
+        try:
+            raw = np.asarray(backend.encode(trimmed), dtype=np.float64)
+        except (EmptyTextError, BackendFailureError):
+            raise
+        except Exception as exc:
+            raise BackendFailureError(f"backend {backend.name!r} failed: {exc}") from exc
+        if raw.shape != matrix.shape[1:]:
+            raise BackendFailureError(
+                f"backend {backend.name!r} returned shape {raw.shape}, "
+                f"expected ({backend.dimension},)"
+            )
+        # ndarray.dot is the same BLAS dot as ``@``, with less call overhead;
+        # the test is false for a zero vector and for NaN or infinity
+        squared = float(raw.dot(raw))
+        if not 0.0 < squared < math.inf:
+            raise EmptyTextError(f"text {trimmed!r} has no embeddable content")
+        # dividing while copying costs one pass over the row, not two
+        matrix[i] = raw / math.sqrt(squared)
+    # every row is finite now, but a subnormal input can still miss unit norm
+    squares = np.einsum("ij,ij->i", matrix, matrix).tolist()
+    for text, square in zip(texts, squares):
+        if abs(math.sqrt(square) - 1.0) > 1e-6:
+            raise EmptyTextError(f"text {text.strip()!r} has no embeddable content")
+    return matrix
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -251,12 +294,27 @@ class VectorRows:
 
     def append(self, values: np.ndarray) -> int:
         """Store one vector and return its row number."""
+        block, offset = self._free_slot()
+        block[offset] = values
+        self._count += 1
+        return self._count - 1
+
+    def extend(self, matrix: np.ndarray) -> None:
+        """Store each row of ``matrix``, in order, one slice copy per block."""
+        done = 0
+        while done < len(matrix):
+            block, offset = self._free_slot()
+            take = min(_BLOCK_ROWS - offset, len(matrix) - done)
+            block[offset : offset + take] = matrix[done : done + take]
+            self._count += take
+            done += take
+
+    def _free_slot(self) -> tuple[np.ndarray, int]:
+        """The block and offset of the next row, opening a block when all are full."""
         block, offset = divmod(self._count, _BLOCK_ROWS)
         if block == len(self._blocks):
             self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-        self._blocks[block][offset] = values
-        self._count += 1
-        return self._count - 1
+        return self._blocks[block], offset
 
     def row(self, row: int) -> np.ndarray:
         """The stored vector of ``row``, as a view; callers must not write to it."""

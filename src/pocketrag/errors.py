@@ -33,6 +33,11 @@ class EmptyDescriptionError(PocketRagError):
     """A catalog entry has no description text."""
 
 
+class MalformedEntryError(PocketRagError):
+    """A catalog entry, or an index- or memory-file entry, is missing a field
+    or holds an invalid value."""
+
+
 class ConflictingRecordError(PocketRagError):
     """Re-registration of a package id with a different description."""
 

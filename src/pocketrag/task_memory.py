@@ -35,6 +35,7 @@ from .embedding import (
 from .errors import (
     EmptyQueryError,
     EmptyTraceError,
+    MalformedEntryError,
     PocketRagError,
     TraceWithoutStopError,
 )
@@ -264,33 +265,48 @@ class MemoryStore:
         clock: Callable[[], float] = time.time,
         threshold: float | None = None,
     ) -> "MemoryStore":
-        """Load a memory file; ``threshold``, when given, replaces the stored one."""
+        """Load a memory file; ``threshold``, when given, replaces the stored one.
+
+        Raises a PocketRagError (MalformedEntryError names the record) when a
+        field is missing or invalid, a vector is not unit-norm, or a
+        dimension differs from the backend's.
+        """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if backend is None:
-            backend = resolve_backend(data["backend"])
-        if backend.dimension != data["dimension"]:
-            raise PocketRagError(
-                f"memory file has dimension {data['dimension']}, "
-                f"backend {backend.name!r} produces {backend.dimension}"
-            )
-        if threshold is None:
-            threshold = data.get("threshold", DEFAULT_MEMORY_THRESHOLD)
-        store = cls(backend, threshold=threshold, capacity=data.get("capacity"), clock=clock)
+        try:
+            if backend is None:
+                backend = resolve_backend(data["backend"])
+            if backend.dimension != data["dimension"]:
+                raise PocketRagError(
+                    f"memory file has dimension {data['dimension']}, "
+                    f"backend {backend.name!r} produces {backend.dimension}"
+                )
+            if threshold is None:
+                threshold = data.get("threshold", DEFAULT_MEMORY_THRESHOLD)
+            store = cls(backend, threshold=threshold, capacity=data.get("capacity"), clock=clock)
+            entries = list(data.get("records", []))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedEntryError(f"memory file {str(path)!r}: {exc!r}") from exc
         max_seq = -1
-        for entry in data.get("records", []):
-            record = MemoryRecord(
-                query_text=entry["query"],
-                normalized_query=entry["normalized_query"],
-                trace=ActionTrace.from_jsonable(entry["trace"]),
-                created_at=float(entry["created_at"]),
-                success_count=int(entry["success_count"]),
-                seq=int(entry.get("seq", 0)),
-            )
+        for position, entry in enumerate(entries):
+            try:
+                record = MemoryRecord(
+                    query_text=entry["query"],
+                    normalized_query=entry["normalized_query"],
+                    trace=ActionTrace.from_jsonable(entry["trace"]),
+                    created_at=float(entry["created_at"]),
+                    success_count=int(entry["success_count"]),
+                    seq=int(entry.get("seq", 0)),
+                )
+                vector = EmbeddingVector(entry["embedding"])
+            except (KeyError, TypeError, ValueError) as exc:
+                query = entry.get("normalized_query") if isinstance(entry, dict) else None
+                raise MalformedEntryError(
+                    f"memory file {str(path)!r}, record {position} ({query!r}): {exc!r}"
+                ) from exc
             if record.normalized_query in store._records:
                 raise PocketRagError(
                     f"memory file repeats the query {record.normalized_query!r}"
                 )
-            vector = EmbeddingVector(entry["embedding"])
             if vector.dimension != backend.dimension:
                 raise PocketRagError(
                     f"memory record {record.normalized_query!r} has dimension "

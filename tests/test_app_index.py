@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pocketrag.app_index import (
@@ -24,6 +24,8 @@ from pocketrag.errors import (
     DuplicatePackageIdError,
     EmptyDescriptionError,
     EmptyQueryError,
+    EmptyTextError,
+    MalformedEntryError,
     QuerySourceFailureError,
 )
 
@@ -78,6 +80,35 @@ def test_duplicate_package_rejected(backend):
     seed = AppSeed("A", "com.same", "some description words")
     with pytest.raises(DuplicatePackageIdError):
         AppIndex.build([seed, seed], backend, threshold=0.4)
+
+
+class CountingEmbedder(HashedTokenEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def encode(self, text):
+        self.calls += 1
+        return super().encode(text)
+
+
+@pytest.mark.parametrize(
+    "last, error, encoded",
+    [
+        # 'zudami vaperi dizopa nezege' hashes to the zero vector
+        (AppSeed("Zero", "com.zero", "zudami vaperi dizopa nezege"), EmptyTextError, 21),
+        (AppSeed("Dup", "com.app0000", "duplicate package id"), DuplicatePackageIdError, 0),
+        (AppSeed("Blank", "", "blank package id"), MalformedEntryError, 0),
+        (AppSeed("Mute", "com.mute", "   "), EmptyDescriptionError, 0),
+    ],
+    ids=["zero-vector", "duplicate-id", "empty-id", "empty-description"],
+)
+def test_build_with_a_bad_last_entry_returns_no_index(last, error, encoded):
+    """Entries are all checked before any is embedded; a failure leaves no index."""
+    backend = CountingEmbedder()
+    with pytest.raises(error):
+        AppIndex.build(random_catalog(random.Random(0), 20) + [last], backend, threshold=0.4)
+    assert backend.calls == encoded
 
 
 def test_empty_description_rejected(backend):
@@ -162,8 +193,12 @@ def test_retrieval_oracle_property(descriptions, query_words):
         AppSeed(f"A{i}", f"com.p{i:03d}", " ".join(words))
         for i, words in enumerate(descriptions)
     ]
-    index = AppIndex.build(seeds, backend, threshold=0.05)
     query = " ".join(query_words)
+    # some word pairs cancel ('food browser' hashes to the zero vector), and
+    # a zero vector is outside the ranking contract: embed rejects it
+    assume(all(backend.encode(s.description).any() for s in seeds))
+    assume(backend.encode(query).any())
+    index = AppIndex.build(seeds, backend, threshold=0.05)
     outcome = index.retrieve(query, k=3)
     expected = oracle_top_k(index, query, 3)
     if outcome.found:

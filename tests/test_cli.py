@@ -236,3 +236,60 @@ def test_config_bad_value_exits_2(tmp_path, scenario_file, task_file, capsys, ag
     ])
     assert code == 2
     assert "invalid agent config" in capsys.readouterr().err
+
+
+def _raise_first_value(data):
+    data["apps"][0]["embedding"][0] += 0.5
+
+
+def _drop_first_embedding(data):
+    del data["apps"][0]["embedding"]
+
+
+def _set_dimension_12(data):
+    data["dimension"] = 12
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_raise_first_value, _drop_first_embedding, _set_dimension_12],
+    ids=["not-unit-norm", "no-embedding", "dimension-12"],
+)
+def test_index_query_on_malformed_index_file_exits_2(tmp_path, catalog_file, capsys, tamper):
+    index_path = tmp_path / "idx.json"
+    main(["index", "build", "--catalog", str(catalog_file), "--out", str(index_path)])
+    data = json.loads(index_path.read_text())
+    tamper(data)
+    index_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["index", "query", "--index", str(index_path), "--q", "music"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({"name": "Blank", "package_id": "", "description": "blank package id"}, "'Blank'"),
+        ({"name": "Mute", "package_id": "com.mute"}, "'com.mute'"),
+    ],
+    ids=["empty-package-id", "no-description"],
+)
+def test_index_build_on_malformed_catalog_exits_2(tmp_path, capsys, entry, named):
+    catalog_path = tmp_path / "apps.json"
+    catalog_path.write_text(json.dumps(CATALOG + [entry]))
+    index_path = tmp_path / "idx.json"
+    assert main(["index", "build", "--catalog", str(catalog_path), "--out", str(index_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not index_path.exists()
+
+
+def test_memory_ls_on_non_unit_vector_exits_2(tmp_path, scenario_file, task_file, capsys):
+    memory_path = tmp_path / "memory.json"
+    main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
+          "--memory", str(memory_path), "--tau-local", "0.3"])
+    data = json.loads(memory_path.read_text())
+    data["records"][0]["embedding"][0] += 0.5
+    memory_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["memory", "ls", "--store", str(memory_path)]) == 2
+    assert "record 0" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from pocketrag.embedding import (
     HttpEmbedderBackend,
     cosine_similarity,
     embed,
+    embed_many,
     normalize_text,
     register_backend,
     resolve_backend,
@@ -22,6 +25,7 @@ from pocketrag.errors import (
     BackendFailureError,
     DimensionMismatchError,
     EmptyTextError,
+    PocketRagError,
 )
 
 WORDS = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
@@ -99,6 +103,8 @@ def test_self_similarity_property(text):
 def test_empty_text_rejected(backend):
     with pytest.raises(EmptyTextError):
         embed(backend, "   \t\n ")
+    with pytest.raises(EmptyTextError):
+        embed_many(backend, ["fine words", "   \t\n "])
 
 
 def test_tokenless_text_rejected(backend):
@@ -147,6 +153,8 @@ def test_backend_failure_wraps_broken_backend():
 
     with pytest.raises(BackendFailureError):
         embed(Broken(), "hello")
+    with pytest.raises(BackendFailureError):
+        embed_many(Broken(), ["hello", "world"])
 
 
 def test_backend_failure_on_bad_shape():
@@ -159,6 +167,8 @@ def test_backend_failure_on_bad_shape():
 
     with pytest.raises(BackendFailureError):
         embed(WrongShape(), "hello")
+    with pytest.raises(BackendFailureError):
+        embed_many(WrongShape(), ["hello", "world"])
 
 
 def test_http_backend_with_stub_session():
@@ -186,3 +196,74 @@ def test_backend_registry_round_trip():
     assert backend.dimension == 64
     with pytest.raises(BackendFailureError):
         resolve_backend("no-such-backend")
+
+
+# four tokens whose signed hashes cancel exactly in 384 dimensions
+ZERO_HASH_TEXT = "zudami vaperi dizopa nezege"
+
+
+def test_cancelling_tokens_rejected(backend):
+    assert not backend.encode(ZERO_HASH_TEXT).any()
+    with pytest.raises(EmptyTextError):
+        embed(backend, ZERO_HASH_TEXT)
+    with pytest.raises(EmptyTextError):
+        embed_many(backend, ["fine words", ZERO_HASH_TEXT])
+
+
+def reference_embed(backend, text):
+    """The single-text path before batching: divide by the vector's own norm."""
+    raw = np.asarray(backend.encode(text.strip()), dtype=np.float64)
+    return raw / math.sqrt(float(raw @ raw))
+
+
+class ArrayBackend:
+    """Returns a fixed, arbitrary vector per text."""
+
+    name = "array"
+    dimension = 8
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def encode(self, text):
+        return self.vectors[text]
+
+
+# the full finite range: squares that overflow or underflow must fail alike
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_batch_matches_single(backend, texts):
+    """Row i equals embedding text i alone, bit for bit, or both paths fail alike."""
+    for text in texts:
+        try:
+            embed(backend, text)
+        except PocketRagError as exc:
+            with pytest.raises(type(exc)):
+                embed_many(backend, texts)
+            return
+    rows = embed_many(backend, texts)
+    assert rows.shape == (len(texts), backend.dimension)
+    for row, text in zip(rows, texts):
+        assert row.tobytes() == reference_embed(backend, text).tobytes()
+        assert row.tobytes() == embed(backend, text).values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TEXTS, min_size=1, max_size=8))
+def test_batch_rows_equal_single_embeds_hashed(texts):
+    assert_batch_matches_single(HashedTokenEmbedder(), texts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        WORDS,
+        st.lists(st.one_of(st.just(0.0), FINITE), min_size=8, max_size=8),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_batch_rows_equal_single_embeds_arbitrary_floats(vectors):
+    assert_batch_matches_single(ArrayBackend(vectors), list(vectors))

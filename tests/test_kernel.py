@@ -84,16 +84,33 @@ def rows_and_mirror(count=N, dimension=4, seed=0):
     return rows, mirror
 
 
+# uneven extend sizes summing to N; the 1000- and 8-row chunks cross the two
+# block boundaries part way through
+CHUNKS = [1, 700, 1000, 340, 8]
+
+
+def extended_rows(mirror, dimension=4):
+    rows = VectorRows(dimension)
+    done = 0
+    for size in CHUNKS:
+        rows.extend(np.stack(mirror[done : done + size]))
+        done += size
+    assert done == len(rows) == len(mirror)
+    return rows
+
+
 def stored(rows):
     return np.array([rows.row(i) for i in range(len(rows))]).reshape(len(rows), rows.dimension)
 
 
 def test_rows_span_blocks_and_score_in_row_order():
-    rows, mirror = rows_and_mirror()
+    appended, mirror = rows_and_mirror()
     query = np.arange(4, dtype=np.float64)
-    assert len(rows) == N
-    assert np.array_equal(stored(rows), np.stack(mirror))
-    assert np.allclose(rows.scores(query), np.stack(mirror) @ query)
+    for rows in (appended, extended_rows(mirror)):
+        assert len(rows) == N
+        assert np.array_equal(stored(rows), np.stack(mirror))
+        assert np.allclose(rows.scores(query), np.stack(mirror) @ query)
+        assert np.array_equal(rows.scores(query), appended.scores(query))
 
 
 def test_rows_growth_never_moves_stored_rows():
