@@ -141,8 +141,7 @@ class AppIndex:
         self._records: dict[str, _Entry] = {}
         self._order: list[str] = []  # package id of each row, insertion order
         self._rows = VectorRows(backend.dimension)
-        for record in records:
-            self._insert(record)
+        self._insert(list(records))
 
     @classmethod
     def build(
@@ -165,37 +164,44 @@ class AppIndex:
 
     def _add(self, seeds: list[AppSeed], installed: bool, source: str) -> None:
         """Check every seed, then embed them ``_BATCH_ROWS`` at a time into new rows."""
+        self._check(seeds)
+        for start in range(0, len(seeds), _BATCH_ROWS):
+            chunk = seeds[start : start + _BATCH_ROWS]
+            self._rows.extend(embed_many(self.backend, [seed.description for seed in chunk]))
+            for seed in chunk:
+                self._enter(seed, installed, source)
+
+    def _insert(self, records: list[AppRecord]) -> None:
+        """Check every embedded record, then store each vector as a new row."""
+        seeds = [AppSeed(r.app_name, r.package_id, r.description) for r in records]
+        self._check(seeds)
+        for seed, record in zip(seeds, records):
+            if record.embedding.dimension != self.backend.dimension:
+                raise DimensionMismatchError(
+                    f"record {record.package_id} has dimension "
+                    f"{record.embedding.dimension}, index uses {self.backend.dimension}"
+                )
+            self._rows.append(record.embedding.values)
+            self._enter(seed, record.installed, record.source)
+
+    def _check(self, seeds: list[AppSeed]) -> None:
+        """Raise for an empty package id or description, or an id already taken."""
         new: set[str] = set()
         for position, seed in enumerate(seeds):
             if not seed.package_id:
                 raise MalformedEntryError(
-                    f"catalog entry {position} ({seed.app_name!r}) has an empty package_id"
+                    f"app entry {position} ({seed.app_name!r}) has an empty package_id"
                 )
             if not seed.description.strip():
                 raise EmptyDescriptionError(seed.package_id)
             if seed.package_id in self._records or seed.package_id in new:
                 raise DuplicatePackageIdError(seed.package_id)
             new.add(seed.package_id)
-        for start in range(0, len(seeds), _BATCH_ROWS):
-            chunk = seeds[start : start + _BATCH_ROWS]
-            self._rows.extend(embed_many(self.backend, [seed.description for seed in chunk]))
-            for seed in chunk:
-                self._records[seed.package_id] = _Entry(seed, installed, source, len(self._order))
-                self._order.append(seed.package_id)
 
-    def _insert(self, record: AppRecord) -> None:
-        if record.package_id in self._records:
-            raise DuplicatePackageIdError(record.package_id)
-        if record.embedding.dimension != self.backend.dimension:
-            raise DimensionMismatchError(
-                f"record {record.package_id} has dimension "
-                f"{record.embedding.dimension}, index uses {self.backend.dimension}"
-            )
-        seed = AppSeed(record.app_name, record.package_id, record.description)
-        self._records[record.package_id] = _Entry(
-            seed, record.installed, record.source, self._rows.append(record.embedding.values)
-        )
-        self._order.append(record.package_id)
+    def _enter(self, seed: AppSeed, installed: bool, source: str) -> None:
+        """Key the next unkeyed row, already stored, to ``seed``."""
+        self._records[seed.package_id] = _Entry(seed, installed, source, len(self._order))
+        self._order.append(seed.package_id)
 
     def _record(self, entry: _Entry) -> AppRecord:
         seed = entry.seed
@@ -333,6 +339,7 @@ class AppIndex:
             entries = list(data["apps"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedEntryError(f"index file {str(path)!r}: {exc!r}") from exc
+        records = []
         for position, entry in enumerate(entries):
             try:
                 record = AppRecord(
@@ -348,7 +355,8 @@ class AppIndex:
                 raise MalformedEntryError(
                     f"index file {str(path)!r}, app entry {position} ({pid!r}): {exc!r}"
                 ) from exc
-            index._insert(record)
+            records.append(record)
+        index._insert(records)
         return index
 
 

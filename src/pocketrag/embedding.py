@@ -80,13 +80,22 @@ class EmbeddingVector:
 
     @classmethod
     def from_raw(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
-        """Normalize an arbitrary vector. Raises ValueError on a zero vector."""
+        """Normalize an arbitrary 1-D vector as ``embed_many`` does a row.
+
+        Raises ValueError on a zero or non-finite vector.
+        """
         array = np.asarray(values, dtype=np.float64)
-        flat = array.ravel()
-        norm = math.sqrt(float(flat @ flat))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(array / norm)
+        unit = _unit(array) if array.ndim == 1 else None
+        if unit is None:
+            raise ValueError("cannot normalize a zero, non-finite or non-1-D vector")
+        return cls(unit)
+
+    @classmethod
+    def _checked(cls, row: np.ndarray) -> "EmbeddingVector":
+        """Wrap a row that ``embed_many`` has normalised and checked."""
+        vector = cls.__new__(cls)
+        vector._values = _frozen(row)
+        return vector
 
     @property
     def values(self) -> np.ndarray:
@@ -114,6 +123,15 @@ class EmbeddingVector:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _unit(raw: np.ndarray) -> np.ndarray | None:
+    """``raw`` divided by the square root of its own dot product, or None when
+    that is zero or not finite (a zero vector, or one holding NaN or infinity)."""
+    squared = float(raw.dot(raw))
+    if not 0.0 < squared < math.inf:
+        return None
+    return raw / math.sqrt(squared)
 
 
 @runtime_checkable
@@ -212,9 +230,11 @@ class HttpEmbedderBackend:
 def embed(backend: EmbedderBackend, text: str) -> EmbeddingVector:
     """Embed ``text`` with ``backend`` and normalize the result.
 
-    ``embed_many`` of the one text; it raises the same errors.
+    ``embed_many`` of the one text; it raises the same errors. The row is
+    checked there, so it is wrapped without a second check; it is copied
+    so that a kept vector does not also keep its one-row matrix alive.
     """
-    return EmbeddingVector(embed_many(backend, [text])[0])
+    return EmbeddingVector._checked(embed_many(backend, [text])[0].copy())
 
 
 def embed_many(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
@@ -245,13 +265,10 @@ def embed_many(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
                 f"backend {backend.name!r} returned shape {raw.shape}, "
                 f"expected ({backend.dimension},)"
             )
-        # ndarray.dot is the same BLAS dot as ``@``, with less call overhead;
-        # the test is false for a zero vector and for NaN or infinity
-        squared = float(raw.dot(raw))
-        if not 0.0 < squared < math.inf:
+        row = _unit(raw)
+        if row is None:
             raise EmptyTextError(f"text {trimmed!r} has no embeddable content")
-        # dividing while copying costs one pass over the row, not two
-        matrix[i] = raw / math.sqrt(squared)
+        matrix[i] = row
     # every row is finite now, but a subnormal input can still miss unit norm
     squares = np.einsum("ij,ij->i", matrix, matrix).tolist()
     for text, square in zip(texts, squares):

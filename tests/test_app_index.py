@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocketrag.app_index import (
@@ -187,6 +187,8 @@ def test_retrieval_matches_oracle_seeded(backend):
     ),
     st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4),
 )
+@example(descriptions=[["music", "music"]], query_words=["food", "browser"])
+@example(descriptions=[["music", "music"], ["food", "browser"]], query_words=["music"])
 def test_retrieval_oracle_property(descriptions, query_words):
     backend = HashedTokenEmbedder()
     seeds = [
@@ -194,11 +196,17 @@ def test_retrieval_oracle_property(descriptions, query_words):
         for i, words in enumerate(descriptions)
     ]
     query = " ".join(query_words)
-    # some word pairs cancel ('food browser' hashes to the zero vector), and
-    # a zero vector is outside the ranking contract: embed rejects it
-    assume(all(backend.encode(s.description).any() for s in seeds))
-    assume(backend.encode(query).any())
+    # some word pairs cancel ('food browser' hashes to the zero vector): a
+    # description or a query that embeds to zero is rejected, not ranked
+    if not all(backend.encode(s.description).any() for s in seeds):
+        with pytest.raises(EmptyTextError):
+            AppIndex.build(seeds, backend, threshold=0.05)
+        return
     index = AppIndex.build(seeds, backend, threshold=0.05)
+    if not backend.encode(query).any():
+        with pytest.raises(EmptyTextError):
+            index.retrieve(query, k=3)
+        return
     outcome = index.retrieve(query, k=3)
     expected = oracle_top_k(index, query, 3)
     if outcome.found:

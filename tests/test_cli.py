@@ -250,10 +250,14 @@ def _set_dimension_12(data):
     data["dimension"] = 12
 
 
+def _blank_first_package_id(data):
+    data["apps"][0]["package_id"] = ""
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_raise_first_value, _drop_first_embedding, _set_dimension_12],
-    ids=["not-unit-norm", "no-embedding", "dimension-12"],
+    [_raise_first_value, _drop_first_embedding, _set_dimension_12, _blank_first_package_id],
+    ids=["not-unit-norm", "no-embedding", "dimension-12", "empty-package-id"],
 )
 def test_index_query_on_malformed_index_file_exits_2(tmp_path, catalog_file, capsys, tamper):
     index_path = tmp_path / "idx.json"
