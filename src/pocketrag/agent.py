@@ -6,7 +6,10 @@ becomes guidance text. The planning loop then alternates planner decisions
 with device execution: knowledge requests go to the search backend, app
 requests go through the local index (falling back to a store install when
 nothing local clears the threshold), actions are executed and reflected
-on. Successful runs are committed back to memory.
+on. Successful runs are committed back to memory. An instruction or app
+query that embeds to the zero vector is not a harness error: its memory
+lookup is a miss, its successful run is not committed, and its app request
+fails as no app anywhere.
 
 The store catalog's index is built on the first local miss and kept on the
 ``Scenario`` (``Scenario.store_index``, keyed by backend and threshold, where
@@ -25,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .app_index import AppIndex, AppMatch
+from .app_index import AppIndex, AppMatch, RetrievalOutcome
 from .errors import (
     AppNotInstalledError,
+    EmptyTextError,
     NoAppAnywhereError,
     PocketRagError,
     ScenarioMismatchError,
@@ -205,9 +209,10 @@ def select_and_open_app(
     index rejects the query, the scenario's store index is retrieved the
     same way; a store hit is installed (``install_step_cost`` steps),
     registered into the live index, and launched. Raises
-    NoAppAnywhereError when neither side clears the threshold.
+    NoAppAnywhereError when neither side clears the threshold, or when the
+    query embeds to nothing.
     """
-    outcome = index.retrieve(app_query, k=config.k_apps)
+    outcome = _retrieve(index, app_query, config.k_apps)
     if outcome.found:
         pick = planner.pick_app(app_query, outcome.matches)
         device.execute(Action.launch(pick))
@@ -219,7 +224,7 @@ def select_and_open_app(
         )
 
     store_index = device.scenario.store_index(index.backend, index.threshold)
-    store_outcome = store_index.retrieve(app_query, k=config.k_apps)
+    store_outcome = _retrieve(store_index, app_query, config.k_apps)
     if not store_outcome.found:
         raise NoAppAnywhereError(
             f"no app matches {app_query!r}: local best "
@@ -235,6 +240,14 @@ def select_and_open_app(
         installed_from_store=True,
         candidates=store_outcome.matches,
     )
+
+
+def _retrieve(index: AppIndex, app_query: str, k: int) -> RetrievalOutcome:
+    """``index.retrieve``, raising NoAppAnywhereError for a query that embeds to nothing."""
+    try:
+        return index.retrieve(app_query, k=k)
+    except EmptyTextError as exc:
+        raise NoAppAnywhereError(f"no app matches {app_query!r}: {exc}") from exc
 
 
 class _RunState:
@@ -291,8 +304,12 @@ def run_task(
 
     trace = ActionTrace(steps=tuple(device.history))
     if outcome == OUTCOME_SUCCESS:
-        memory.commit(instruction, trace)
-        state.log("memory_commit", query=instruction, trace_length=len(trace))
+        try:
+            memory.commit(instruction, trace)
+        except EmptyTextError:
+            state.log("memory_commit", query=instruction, skipped="unembeddable")
+        else:
+            state.log("memory_commit", query=instruction, trace_length=len(trace))
     counters = RunCounters(
         planner_calls=state.planner_calls,
         mobile_steps=len(trace),
@@ -320,8 +337,11 @@ def _memory_phase(
     state: _RunState,
 ) -> str | None:
     """Route through memory; returns a final outcome on completed replay."""
-    match = memory.lookup(instruction)
-    if match.is_none:
+    try:
+        match = memory.lookup(instruction)
+    except EmptyTextError:  # nothing can be similar to the zero vector
+        match = None
+    if match is None or match.is_none:
         state.log("memory_lookup", hit=MEMORY_HIT_NONE)
         return None
 

@@ -2,14 +2,14 @@
 
 The index embeds every app description once and answers queries with the
 top-k scored matches, or an explicit no-match outcome when even the best
-score sits below the configured threshold; scoring and ranking use the
-shared exact kernel (``VectorRows`` and ``top_k``). Each app's vector is
-held once, as its row: ``build`` checks every catalog entry, then embeds
-the catalog in batches (``embed_many``) that are copied into the row
-store, and the ``AppRecord`` that ``get``, ``records`` and ``register``
-return is built on demand with its ``embedding`` copied from the row. It
-also generates the contrastive training corpus (query, positive,
-negatives) used to fine-tune a real retrieval model offline.
+score sits below the configured threshold; vectors are stored under their
+package ids in the shared keyed store (``VectorRows``), and a query is one
+``search`` of it. Each app's vector is held once, in that store: every
+entry is checked before any is stored, and the ``AppRecord`` that ``get``,
+``records`` and ``register`` return is built on demand with its
+``embedding`` copied from the store. The module also generates the
+contrastive training corpus (query, positive, negatives) used to fine-tune
+a real retrieval model offline.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .embedding import (
     EmbeddingVector,
     VectorRows,
     embed,
-    embed_many,
+    embed_row,
     resolve_backend,
     tokenize,
-    top_k,
     write_json_atomic,
 )
 from .errors import (
@@ -45,10 +44,6 @@ NONE_SENTINEL = "NONE"
 
 SOURCE_PREINSTALLED = "preinstalled"
 SOURCE_STORE = "store_installed"
-
-# catalog rows embedded per batch before they are copied into the row store;
-# 128 rows (384 KB at 384 dimensions) keep the batch a small share of peak memory
-_BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -112,12 +107,11 @@ class RetrievalOutcome:
 
 
 class _Entry(NamedTuple):
-    """An indexed app as the index keeps it; its vector is row ``row``."""
+    """An indexed app as the index keeps it; its vector is in the keyed store."""
 
     seed: AppSeed
     installed: bool
     source: str
-    row: int
 
 
 class AppIndex:
@@ -139,9 +133,13 @@ class AppIndex:
         self.backend = backend
         self.threshold = float(threshold)
         self._records: dict[str, _Entry] = {}
-        self._order: list[str] = []  # package id of each row, insertion order
         self._rows = VectorRows(backend.dimension)
-        self._insert(list(records))
+        records = list(records)
+        self._insert(
+            [_Entry(AppSeed(r.app_name, r.package_id, r.description), r.installed, r.source)
+             for r in records],
+            [r.embedding for r in records],
+        )
 
     @classmethod
     def build(
@@ -159,30 +157,31 @@ class AppIndex:
         """
         index = cls(backend, threshold)
         seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
-        index._add(seeds, installed, source)
+        index._insert([_Entry(seed, installed, source) for seed in seeds])
         return index
 
-    def _add(self, seeds: list[AppSeed], installed: bool, source: str) -> None:
-        """Check every seed, then embed them ``_BATCH_ROWS`` at a time into new rows."""
-        self._check(seeds)
-        for start in range(0, len(seeds), _BATCH_ROWS):
-            chunk = seeds[start : start + _BATCH_ROWS]
-            self._rows.extend(embed_many(self.backend, [seed.description for seed in chunk]))
-            for seed in chunk:
-                self._enter(seed, installed, source)
+    def _insert(
+        self, entries: list[_Entry], vectors: list[EmbeddingVector] | None = None
+    ) -> None:
+        """Check every entry, then store each under its package id.
 
-    def _insert(self, records: list[AppRecord]) -> None:
-        """Check every embedded record, then store each vector as a new row."""
-        seeds = [AppSeed(r.app_name, r.package_id, r.description) for r in records]
-        self._check(seeds)
-        for seed, record in zip(seeds, records):
-            if record.embedding.dimension != self.backend.dimension:
+        An entry's vector is ``vectors[i]`` when given (its dimension must
+        be the backend's), otherwise its embedded description.
+        """
+        self._check([entry.seed for entry in entries])
+        for position, entry in enumerate(entries):
+            seed = entry.seed
+            if vectors is None:
+                vector = embed_row(self.backend, seed.description)
+            elif vectors[position].dimension != self.backend.dimension:
                 raise DimensionMismatchError(
-                    f"record {record.package_id} has dimension "
-                    f"{record.embedding.dimension}, index uses {self.backend.dimension}"
+                    f"record {seed.package_id} has dimension "
+                    f"{vectors[position].dimension}, index uses {self.backend.dimension}"
                 )
-            self._rows.append(record.embedding.values)
-            self._enter(seed, record.installed, record.source)
+            else:
+                vector = vectors[position].values
+            self._rows.add(seed.package_id, vector)
+            self._records[seed.package_id] = entry
 
     def _check(self, seeds: list[AppSeed]) -> None:
         """Raise for an empty package id or description, or an id already taken."""
@@ -198,18 +197,13 @@ class AppIndex:
                 raise DuplicatePackageIdError(seed.package_id)
             new.add(seed.package_id)
 
-    def _enter(self, seed: AppSeed, installed: bool, source: str) -> None:
-        """Key the next unkeyed row, already stored, to ``seed``."""
-        self._records[seed.package_id] = _Entry(seed, installed, source, len(self._order))
-        self._order.append(seed.package_id)
-
     def _record(self, entry: _Entry) -> AppRecord:
         seed = entry.seed
         return AppRecord(
             app_name=seed.app_name,
             package_id=seed.package_id,
             description=seed.description,
-            embedding=EmbeddingVector(self._rows.row(entry.row)),
+            embedding=EmbeddingVector(self._rows.vector(seed.package_id)),
             installed=entry.installed,
             source=entry.source,
         )
@@ -221,7 +215,7 @@ class AppIndex:
         return package_id in self._records
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._order)
+        return iter(self._records)
 
     def get(self, package_id: str) -> AppRecord | None:
         entry = self._records.get(package_id)
@@ -239,32 +233,24 @@ class AppIndex:
         to 9 decimals, so mathematically tied scores fall through to the
         ascending package-id tie-break no matter how the floating-point
         sums were ordered; results are stable across BLAS implementations.
-        The reported scores (and the one tested against the threshold) are
-        one 1-D dot product per record, so they do not depend on where the
-        record's row sits in the matrix product.
+        Each reported score is one 1-D dot product, so it does not depend
+        on where the record's vector sits in the store; the top match's
+        score is the one tested against the threshold.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         if not query.strip():
             raise EmptyQueryError("query is empty")
-        if not self._order:
+        if not self._records:
             return RetrievalOutcome(matches=(), best_score=None)
-        qvec = embed(self.backend, query).values
-        scores = self._rows.scores(qvec)
-        best = float(qvec @ self._rows.row(int(scores.argmax())))
+        hits = self._rows.search(embed(self.backend, query).values, k)
+        best = hits[0][1]
         if best < self.threshold:
             return RetrievalOutcome(matches=(), best_score=best)
         matches = []
-        for row in top_k(scores, self._order, k):
-            seed = self._records[self._order[row]].seed
-            matches.append(
-                AppMatch(
-                    package_id=seed.package_id,
-                    app_name=seed.app_name,
-                    description=seed.description,
-                    score=float(qvec @ self._rows.row(row)),
-                )
-            )
+        for package_id, score in hits:
+            seed = self._records[package_id].seed
+            matches.append(AppMatch(seed.package_id, seed.app_name, seed.description, score))
         return RetrievalOutcome(matches=tuple(matches), best_score=best)
 
     def register(
@@ -285,7 +271,7 @@ class AppIndex:
                     f"{seed.package_id} already indexed with a different description"
                 )
             return self._record(existing)
-        self._add([seed], installed, source)
+        self._insert([_Entry(seed, installed, source)])
         return self._record(self._records[seed.package_id])
 
     # --- persistence ---
@@ -300,7 +286,7 @@ class AppIndex:
                     "name": e.seed.app_name,
                     "package_id": e.seed.package_id,
                     "description": e.seed.description,
-                    "embedding": self._rows.row(e.row).tolist(),
+                    "embedding": self._rows.vector(e.seed.package_id).tolist(),
                     "installed": e.installed,
                     "source": e.source,
                 }
@@ -339,24 +325,21 @@ class AppIndex:
             entries = list(data["apps"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedEntryError(f"index file {str(path)!r}: {exc!r}") from exc
-        records = []
+        apps, vectors = [], []
         for position, entry in enumerate(entries):
             try:
-                record = AppRecord(
-                    app_name=entry["name"],
-                    package_id=entry["package_id"],
-                    description=entry["description"],
-                    embedding=EmbeddingVector(entry["embedding"]),
-                    installed=bool(entry.get("installed", True)),
-                    source=entry.get("source", SOURCE_PREINSTALLED),
-                )
+                seed = AppSeed(entry["name"], entry["package_id"], entry["description"])
+                vector = EmbeddingVector(entry["embedding"])
+                installed = bool(entry.get("installed", True))
+                source = entry.get("source", SOURCE_PREINSTALLED)
             except (KeyError, TypeError, ValueError) as exc:
                 pid = entry.get("package_id") if isinstance(entry, dict) else None
                 raise MalformedEntryError(
                     f"index file {str(path)!r}, app entry {position} ({pid!r}): {exc!r}"
                 ) from exc
-            records.append(record)
-        index._insert(records)
+            apps.append(_Entry(seed, installed, source))
+            vectors.append(vector)
+        index._insert(apps, vectors)
         return index
 
 

@@ -3,16 +3,16 @@
 A pack directory holds a manifest, scenario files, task files, and search
 fixtures. Tasks declare a tier (atomic, multi_app, open_scenario), point
 at a scenario, and carry ground truth plus a script for the deterministic
-planner. The runner executes a suite through the agent, aggregates the
-five-metric report, and archives one run log per task; with scripted
-components the whole report is byte-reproducible.
+planner. The runner executes a suite through the agent, one task at a
+time in suite order, aggregates the five-metric report, and archives one
+run log per task; with scripted components the whole report is
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -303,7 +303,6 @@ def run_benchmark(
     reflector_factory: Callable[[BenchmarkTask], Reflector] = effect_reflector_factory,
     search_backend_factory: Callable[[Scenario], SearchBackend] | None = None,
     config: AgentConfig | None = None,
-    parallelism: int = 1,
     memory_enabled: bool = True,
     suite: str = "default",
     backend: EmbedderBackend | None = None,
@@ -311,11 +310,9 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Run one suite and aggregate the report.
 
-    With memory enabled, tasks run serially in suite order against one
-    shared memory store, so repeated task ids exercise exact replay.
-    With memory disabled each task gets a fresh store and the suite may
-    run on ``parallelism`` worker threads; the report is independent of
-    the degree.
+    Tasks run serially in suite order. With memory enabled they share one
+    memory store, so repeated task ids exercise exact replay; with memory
+    disabled each task gets a fresh store.
     """
     if not isinstance(pack, Pack):
         pack = load_pack(pack)
@@ -328,15 +325,6 @@ def run_benchmark(
             scenario.search_fixtures
         )
 
-    task_ids = pack.suites[suite]
-    occurrence: dict[str, int] = {}
-    jobs: list[tuple[str, int, BenchmarkTask]] = []
-    for task_id in task_ids:
-        occurrence[task_id] = occurrence.get(task_id, 0) + 1
-        n = occurrence[task_id]
-        run_id = task_id if n == 1 else f"{task_id}@{n}"
-        jobs.append((run_id, n, pack.task(task_id)))
-
     shared_memory = None
     if memory_enabled:
         counter = iter(range(1, 10**9))
@@ -344,8 +332,16 @@ def run_benchmark(
             backend, threshold=config.tau_mem, clock=lambda: float(next(counter))
         )
 
-    def execute_job(job: tuple[str, int, BenchmarkTask]):
-        run_id, _, task = job
+    task_ids = pack.suites[suite]
+    occurrence: dict[str, int] = {}
+    runs: list[TaskRun] = []
+    run_ids: list[str] = []
+    passes: dict[int, tuple[list[TaskRun], list[str]]] = {}
+    errors: list[HarnessError] = []
+    for task_id in task_ids:
+        occurrence[task_id] = n = occurrence.get(task_id, 0) + 1
+        run_id = task_id if n == 1 else f"{task_id}@{n}"
+        task = pack.task(task_id)
         scenario = pack.scenarios[task.scenario_ref]
         index = AppIndex.build(
             scenario.installed_apps, backend, threshold=config.tau_local
@@ -367,33 +363,20 @@ def run_benchmark(
                 config=config,
                 task_id=task.task_id,
             )
-            return run_id, run, None
         except Exception as exc:  # harness-level failure; the suite goes on
             logger.exception("task %s failed at the harness level", run_id)
-            return run_id, None, f"{type(exc).__name__}: {exc}"
-
-    if memory_enabled or parallelism <= 1:
-        results = [execute_job(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(execute_job, jobs))
-
-    runs: list[TaskRun] = []
-    run_ids: list[str] = []
-    passes: dict[int, tuple[list[TaskRun], list[str]]] = {}
-    errors: list[HarnessError] = []
-    for (run_id, n, task), (rid, run, error) in zip(jobs, results):
-        if error is not None:
-            errors.append(HarnessError(run_id=rid, task_id=task.task_id, error=error))
+            errors.append(
+                HarnessError(run_id, task.task_id, f"{type(exc).__name__}: {exc}")
+            )
             continue
         runs.append(run)
-        run_ids.append(rid)
-        passes.setdefault(n, ([], []))
-        passes[n][0].append(run)
-        passes[n][1].append(rid)
+        run_ids.append(run_id)
+        pass_runs, pass_ids = passes.setdefault(n, ([], []))
+        pass_runs.append(run)
+        pass_ids.append(run_id)
 
     truths = {t.task_id: t.ground_truth for t in pack.tasks}
-    metrics = compute_metrics(runs, truths, run_ids=run_ids, total_tasks=len(jobs))
+    metrics = compute_metrics(runs, truths, run_ids=run_ids, total_tasks=len(task_ids))
     per_pass = []
     if len(passes) > 1:
         for n in sorted(passes):

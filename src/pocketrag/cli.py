@@ -195,7 +195,6 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
         raise PocketRagError("only the scripted planner is wired for bench runs")
     report = run_benchmark(
         pack,
-        parallelism=args.parallel,
         memory_enabled=args.memory == "on",
         suite=args.suite,
         config=agent_config,
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", default="default")
     p_bench.add_argument("--planner", default="scripted")
     p_bench.add_argument("--memory", default="on", choices=["on", "off"])
-    p_bench.add_argument("--parallel", type=int, default=1)
     p_bench.add_argument("--out")
     p_bench.set_defaults(func=_cmd_bench)
 

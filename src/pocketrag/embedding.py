@@ -5,11 +5,10 @@ here, so similarity is always a plain dot product. Backends are pluggable;
 the shipped reference backend is a deterministic signed-hash bag-of-tokens
 embedder that needs no model weights.
 
-``embed_many`` is the one path from text to unit vectors: it encodes a
-batch of texts into the rows of one matrix, each row divided by the norm
-from its own dot product, so row ``i`` is bit-identical to embedding
-``texts[i]`` on its own; the unit-norm check then runs over the whole
-matrix at once. ``embed`` is ``embed_many`` of a single text.
+``embed_row`` is the one path from text to a unit vector: it divides the
+backend's raw vector by the square root of its own dot product and checks
+the result; ``embed`` wraps that row in an ``EmbeddingVector``, and the
+app index stores the plain row.
 
 The reference backend's token hash is a pure function of the token, so it
 is memoised process-wide in a bounded LRU cache (``_token_hash``, 65,536
@@ -17,10 +16,11 @@ tokens) and shared by every ``HashedTokenEmbedder`` whatever its dimension;
 the hashing trick itself follows Weinberger et al., "Feature Hashing for
 Large Scale Multitask Learning" (arXiv:0902.2206).
 
-``VectorRows`` and ``top_k`` are the one search kernel that both the app
-index and the experience memory use: every stored vector is scored by a
-matrix product, and the best are ranked exactly, in the style of the flat
-inner-product index of FAISS (``IndexFlatIP``; Johnson, Douze and Jegou,
+``VectorRows`` is the one keyed vector store that both the app index and
+the experience memory use: ``search`` scores every stored vector by a
+matrix product, ranks the best exactly with ``top_k``, and reports each
+hit's score as one 1-D dot product, in the style of the flat inner-product
+index of FAISS (``IndexFlatIP``; Johnson, Douze and Jegou,
 arXiv:1702.08734). There is no approximate index.
 """
 
@@ -80,7 +80,7 @@ class EmbeddingVector:
 
     @classmethod
     def from_raw(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
-        """Normalize an arbitrary 1-D vector as ``embed_many`` does a row.
+        """Normalize an arbitrary 1-D vector as ``embed_row`` does.
 
         Raises ValueError on a zero or non-finite vector.
         """
@@ -92,7 +92,7 @@ class EmbeddingVector:
 
     @classmethod
     def _checked(cls, row: np.ndarray) -> "EmbeddingVector":
-        """Wrap a row that ``embed_many`` has normalised and checked."""
+        """Wrap, without a copy, a row that ``embed_row`` has normalised and checked."""
         vector = cls.__new__(cls)
         vector._values = _frozen(row)
         return vector
@@ -228,53 +228,37 @@ class HttpEmbedderBackend:
 
 
 def embed(backend: EmbedderBackend, text: str) -> EmbeddingVector:
-    """Embed ``text`` with ``backend`` and normalize the result.
+    """Embed ``text`` with ``backend`` and normalize the result (see ``embed_row``)."""
+    return EmbeddingVector._checked(embed_row(backend, text))
 
-    ``embed_many`` of the one text; it raises the same errors. The row is
-    checked there, so it is wrapped without a second check; it is copied
-    so that a kept vector does not also keep its one-row matrix alive.
+
+def embed_row(backend: EmbedderBackend, text: str) -> np.ndarray:
+    """The unit vector of ``text``: the backend's vector over its own norm.
+
+    Calls ``backend.encode`` once on the trimmed text and divides the vector
+    by the square root of its own dot product. Raises EmptyTextError when
+    the text trims to nothing or embeds to a zero, non-finite or (from
+    subnormal entries) not unit-norm vector, and BackendFailureError when
+    the backend raises or returns a vector of the wrong shape.
     """
-    return EmbeddingVector._checked(embed_many(backend, [text])[0].copy())
-
-
-def embed_many(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
-    """Embed every text into one row of an ``(n, dimension)`` float64 matrix.
-
-    Calls ``backend.encode`` once per text and writes the vector divided by
-    the square root of its own dot product into the text's row, so row ``i``
-    is bit-identical to ``embed(backend, texts[i]).values``. Texts are
-    checked in order: raises EmptyTextError when a text trims to nothing or
-    embeds to a zero (or non-finite) vector, and BackendFailureError when the
-    backend raises or returns a vector of the wrong shape. The unit-norm
-    check then runs over the whole matrix and raises EmptyTextError for the
-    first row that fails it.
-    """
-    matrix = np.empty((len(texts), backend.dimension))
-    for i, text in enumerate(texts):
-        trimmed = text.strip()
-        if not trimmed:
-            raise EmptyTextError("cannot embed empty text")
-        try:
-            raw = np.asarray(backend.encode(trimmed), dtype=np.float64)
-        except (EmptyTextError, BackendFailureError):
-            raise
-        except Exception as exc:
-            raise BackendFailureError(f"backend {backend.name!r} failed: {exc}") from exc
-        if raw.shape != matrix.shape[1:]:
-            raise BackendFailureError(
-                f"backend {backend.name!r} returned shape {raw.shape}, "
-                f"expected ({backend.dimension},)"
-            )
-        row = _unit(raw)
-        if row is None:
-            raise EmptyTextError(f"text {trimmed!r} has no embeddable content")
-        matrix[i] = row
-    # every row is finite now, but a subnormal input can still miss unit norm
-    squares = np.einsum("ij,ij->i", matrix, matrix).tolist()
-    for text, square in zip(texts, squares):
-        if abs(math.sqrt(square) - 1.0) > 1e-6:
-            raise EmptyTextError(f"text {text.strip()!r} has no embeddable content")
-    return matrix
+    trimmed = text.strip()
+    if not trimmed:
+        raise EmptyTextError("cannot embed empty text")
+    try:
+        raw = np.asarray(backend.encode(trimmed), dtype=np.float64)
+    except (EmptyTextError, BackendFailureError):
+        raise
+    except Exception as exc:
+        raise BackendFailureError(f"backend {backend.name!r} failed: {exc}") from exc
+    if raw.shape != (backend.dimension,):
+        raise BackendFailureError(
+            f"backend {backend.name!r} returned shape {raw.shape}, "
+            f"expected ({backend.dimension},)"
+        )
+    row = _unit(raw)
+    if row is None or abs(math.sqrt(float(row.dot(row))) - 1.0) > 1e-6:
+        raise EmptyTextError(f"text {trimmed!r} has no embeddable content")
+    return row
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -293,69 +277,73 @@ _BLOCK_ROWS = 1024  # rows per block of a VectorRows store
 
 
 class VectorRows:
-    """Unit vectors stored as rows of fixed-size blocks.
+    """Unit vectors stored under string keys, as rows of fixed-size blocks.
 
-    Appending fills the last block and opens a new one when it is full, so
-    growth never copies stored rows. Removing a row moves the last row into
-    its slot, so the caller keeps its row-to-key map in step. Row order is
-    insertion order; ``top_k`` ranks by key, so it never needs sorting.
+    Adding fills the last block and opens a new one when it is full, so
+    growth never copies stored rows. Removing a key moves the last row into
+    its slot. Row order is therefore not key order, but ``search`` ranks by
+    score and then key, so it never depends on where a row sits.
     """
 
     def __init__(self, dimension: int) -> None:
         self.dimension = dimension
         self._blocks: list[np.ndarray] = []
-        self._count = 0
+        self._keys: list[str] = []  # the key of each row
+        self._row_of: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._keys)
 
-    def append(self, values: np.ndarray) -> int:
-        """Store one vector and return its row number."""
-        block, offset = self._free_slot()
-        block[offset] = values
-        self._count += 1
-        return self._count - 1
-
-    def extend(self, matrix: np.ndarray) -> None:
-        """Store each row of ``matrix``, in order, one slice copy per block."""
-        done = 0
-        while done < len(matrix):
-            block, offset = self._free_slot()
-            take = min(_BLOCK_ROWS - offset, len(matrix) - done)
-            block[offset : offset + take] = matrix[done : done + take]
-            self._count += take
-            done += take
-
-    def _free_slot(self) -> tuple[np.ndarray, int]:
-        """The block and offset of the next row, opening a block when all are full."""
-        block, offset = divmod(self._count, _BLOCK_ROWS)
+    def add(self, key: str, vector: np.ndarray) -> None:
+        """Store ``vector`` under ``key``, which must not be stored already."""
+        if key in self._row_of:
+            raise KeyError(f"{key!r} is already stored")
+        block, offset = divmod(len(self._keys), _BLOCK_ROWS)
         if block == len(self._blocks):
             self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-        return self._blocks[block], offset
+        self._blocks[block][offset] = vector
+        self._row_of[key] = len(self._keys)
+        self._keys.append(key)
 
-    def row(self, row: int) -> np.ndarray:
-        """The stored vector of ``row``, as a view; callers must not write to it."""
-        block, offset = divmod(row, _BLOCK_ROWS)
-        return self._blocks[block][offset]
-
-    def swap_remove(self, row: int) -> None:
-        """Drop ``row`` by moving the last row into its slot.
+    def remove(self, key: str) -> None:
+        """Drop ``key`` by moving the last row into its slot.
 
         Blocks are kept when they empty, so a store held at a capacity
         that evicts on every commit reuses its last block.
         """
-        last = self._count - 1
-        if row != last:
-            self.row(row)[:] = self.row(last)
-        self._count = last
+        row = self._row_of.pop(key)
+        last = self._keys.pop()
+        if last != key:
+            self._row(row)[:] = self._row(len(self._keys))
+            self._keys[row] = last
+            self._row_of[last] = row
 
-    def scores(self, query: np.ndarray) -> np.ndarray:
-        """Inner product of ``query`` with every row, in row order."""
-        full, rest = divmod(self._count, _BLOCK_ROWS)
+    def vector(self, key: str) -> np.ndarray:
+        """The vector stored under ``key``, as a view; callers must not write to it."""
+        return self._row(self._row_of[key])
+
+    def _row(self, row: int) -> np.ndarray:
+        block, offset = divmod(row, _BLOCK_ROWS)
+        return self._blocks[block][offset]
+
+    def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """The ``k`` best keys for ``query``, ranked by ``top_k``, with their scores.
+
+        Every row is scored in one matrix product per block for the ranking;
+        each returned score is then one 1-D dot product of ``query`` and the
+        key's vector, so it does not depend on where the row sits.
+        """
+        if not self._keys:
+            return []
+        full, rest = divmod(len(self._keys), _BLOCK_ROWS)
         parts = [block @ query for block in self._blocks[:full]]
         if rest:
             parts.append(self._blocks[full][:rest] @ query)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        scores = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return [
+            (self._keys[row], float(query @ self._row(row)))
+            for row in top_k(scores, self._keys, k)
+        ]
 
 
 def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:

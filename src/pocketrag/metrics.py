@@ -5,8 +5,7 @@ Metrics over a set of task runs:
 - app selection: the i-th selection of a run is correct iff it equals the
   i-th expected app.
 - action fidelity: executed actions aligned to expected patterns by
-  longest common subsequence, over the expected count (an executed-count
-  denominator is available behind a flag).
+  longest common subsequence, over the expected count.
 - reflection precision: a verdict is correct iff it agrees with the
   simulator's effect oracle (ok exactly when the step was not a no-op).
 - task completion: fraction of sub-goal predicates (flag equality or
@@ -24,9 +23,6 @@ from typing import Mapping, Sequence
 from .agent import OUTCOME_SUCCESS, TaskRun
 from .errors import InvalidGroundTruthError, MisalignmentError
 from .simulator import EFFECT_NO_OP, HOME_SCREEN, ActionStep
-
-AF_DENOMINATOR_EXPECTED = "expected"
-AF_DENOMINATOR_EXECUTED = "executed"
 
 WILDCARD = "*"
 
@@ -268,8 +264,6 @@ def score_run(
     run: TaskRun,
     truth: GroundTruth,
     run_id: str | None = None,
-    af_denominator: str = AF_DENOMINATOR_EXPECTED,
-    include_launch: bool = True,
 ) -> TaskScore:
     """Tally one run against its ground truth."""
     selections_total = len(run.app_selections)
@@ -279,18 +273,7 @@ def score_run(
         if i < len(truth.expected_apps) and chosen == truth.expected_apps[i]
     )
 
-    steps = list(run.trace.steps)
-    patterns = list(truth.expected_actions)
-    if not include_launch:
-        steps = [s for s in steps if s.action.kind != "launch"]
-        patterns = [p for p in patterns if p.kind != "launch"]
-    matched = lcs_matches(steps, patterns)
-    if af_denominator == AF_DENOMINATOR_EXPECTED:
-        actions_total = len(patterns)
-    elif af_denominator == AF_DENOMINATOR_EXECUTED:
-        actions_total = len(steps)
-    else:
-        raise ValueError(f"unknown af_denominator {af_denominator!r}")
+    matched = lcs_matches(run.trace.steps, truth.expected_actions)
 
     reflections_total = len(run.reflections)
     reflections_correct = sum(
@@ -310,7 +293,7 @@ def score_run(
         selections_correct=selections_correct,
         selections_total=selections_total,
         actions_matched=matched,
-        actions_total=actions_total,
+        actions_total=len(truth.expected_actions),
         reflections_correct=reflections_correct,
         reflections_total=reflections_total,
         subgoals_met=subgoals_met,
@@ -326,8 +309,6 @@ def compute_metrics(
     runs: Sequence[TaskRun],
     truths: Mapping[str, GroundTruth],
     run_ids: Sequence[str] | None = None,
-    af_denominator: str = AF_DENOMINATOR_EXPECTED,
-    include_launch: bool = True,
     total_tasks: int | None = None,
 ) -> MetricsReport:
     """Aggregate the five metrics over a run set.
@@ -344,15 +325,7 @@ def compute_metrics(
         if truth is None:
             raise MisalignmentError(f"no ground truth for task {run.task_id!r}")
         rid = run_ids[i] if run_ids is not None else None
-        scores.append(
-            score_run(
-                run,
-                truth,
-                run_id=rid,
-                af_denominator=af_denominator,
-                include_launch=include_launch,
-            )
-        )
+        scores.append(score_run(run, truth, run_id=rid))
 
     tsr_denominator = total_tasks if total_tasks is not None else len(scores)
     report = MetricsReport(

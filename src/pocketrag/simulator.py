@@ -288,8 +288,7 @@ class Scenario:
         instances embed alike (``HashedTokenEmbedder`` does, by dimension),
         so a backend never receives an index built by a different model.
         The index holds store records (``installed=False``) and callers
-        must not register into it. Two threads racing on the first call may
-        both build it; the results are equal and either one is kept.
+        must not register into it.
         """
         key = (backend, float(threshold))
         index = self._store_indexes.get(key)

@@ -6,12 +6,11 @@ cosine-similar past query (score >= threshold, 0.8 by default) is handed
 to the planner as guidance; anything else is a miss. Only successful
 traces are ever committed.
 
-Each record's query embedding is stored once, as a row of the store's
-``VectorRows``; records themselves carry no vector. A non-exact lookup
-scores the query against every row in one matrix product and ranks with
-the shared ``top_k`` kernel; the winner's score is then recomputed as one
-1-D dot product, so routing and the reported score do not depend on the
-row layout. Evicting a record moves the last row into its slot.
+Each record's query embedding is stored once, under its normalized query,
+in the shared keyed store (``VectorRows``); records themselves carry no
+vector. A non-exact lookup is one ``search`` of that store for the best
+key; its score is one 1-D dot product, so routing and the reported score
+do not depend on where the vector sits.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .embedding import (
     embed,
     normalize_text,
     resolve_backend,
-    top_k,
     write_json_atomic,
 )
 from .errors import (
@@ -140,23 +138,10 @@ class MemoryStore:
     def clear(self) -> None:
         self._records: dict[str, MemoryRecord] = {}
         self._rows = VectorRows(self.backend.dimension)
-        self._keys: list[str] = []  # normalized query of each row
-        self._row_of: dict[str, int] = {}
 
     def _add(self, record: MemoryRecord, vector: EmbeddingVector) -> None:
-        key = record.normalized_query
-        self._records[key] = record
-        self._row_of[key] = self._rows.append(vector.values)
-        self._keys.append(key)
-
-    def _remove(self, key: str) -> None:
-        del self._records[key]
-        row = self._row_of.pop(key)
-        last = self._keys.pop()
-        if last != key:
-            self._keys[row] = last
-            self._row_of[last] = row
-        self._rows.swap_remove(row)
+        self._records[record.normalized_query] = record
+        self._rows.add(record.normalized_query, vector.values)
 
     def lookup(self, query: str) -> MemoryMatch:
         """Route a query: exact key match, best similar >= threshold, or none."""
@@ -168,15 +153,13 @@ class MemoryStore:
             return MemoryMatch(kind=MATCH_EXACT, record=record)
         if not self._records:
             return MemoryMatch(kind=MATCH_NONE)
-        qvec = embed(self.backend, query).values
         # rounded ranking keeps the tie-break (smallest key) independent of
         # floating-point summation order
-        (best,) = top_k(self._rows.scores(qvec), self._keys, 1)
-        score = float(qvec @ self._rows.row(best))
+        ((best, score),) = self._rows.search(embed(self.backend, query).values, 1)
         if score >= self.threshold:
             return MemoryMatch(
                 kind=MATCH_SIMILAR,
-                record=self._records[self._keys[best]],
+                record=self._records[best],
                 score=min(1.0, score),
             )
         return MemoryMatch(kind=MATCH_NONE)
@@ -227,7 +210,8 @@ class MemoryStore:
             oldest = min(
                 self._records.values(), key=lambda r: (r.created_at, r.seq)
             )
-            self._remove(oldest.normalized_query)
+            del self._records[oldest.normalized_query]
+            self._rows.remove(oldest.normalized_query)
 
     # --- persistence ---
 
@@ -240,7 +224,7 @@ class MemoryStore:
                 {
                     "query": r.query_text,
                     "normalized_query": r.normalized_query,
-                    "embedding": self._rows.row(self._row_of[r.normalized_query]).tolist(),
+                    "embedding": self._rows.vector(r.normalized_query).tolist(),
                     "trace": r.trace.to_jsonable(),
                     "created_at": r.created_at,
                     "success_count": r.success_count,

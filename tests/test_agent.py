@@ -417,3 +417,48 @@ def test_store_index_is_shared_between_equal_backends():
     index = scenario.store_index(HashedTokenEmbedder(64), 0.3)
     assert scenario.store_index(HashedTokenEmbedder(64), 0.3) is index
     assert scenario.store_index(HashedTokenEmbedder(32), 0.3) is not index
+
+
+# texts whose signed token hashes cancel to the zero vector in 384 dimensions
+UNEMBEDDABLE = ["food browser", "zudami vaperi dizopa nezege"]
+
+
+@pytest.mark.parametrize("text", UNEMBEDDABLE)
+def test_unembeddable_instruction_misses_a_nonempty_memory(backend, text):
+    scenario, index, memory, search = build_world(backend)
+    run_alarm(backend, memory=memory)  # one record, so lookup has to embed
+    script = [{"do": "finish", "success": False, "reason": "gave up"}]
+    run = run_task(
+        text, scenario, index, memory, search,
+        ScriptedPlanner(script), EffectReflector(), CONFIG,
+    )
+    assert run.outcome == "failure"
+    assert run.counters.memory_hit == "none"
+    assert run.events[0] == {"event": "memory_lookup", "hit": "none"}
+
+
+@pytest.mark.parametrize("text", UNEMBEDDABLE)
+def test_unembeddable_successful_run_is_not_committed(backend, text):
+    scenario, index, memory, search = build_world(backend)
+    run = run_alarm(backend, memory=memory, instruction=text)
+    assert run.outcome == "success"
+    assert len(memory) == 0
+    assert {"event": "memory_commit", "query": text, "skipped": "unembeddable"} in run.events
+
+
+@pytest.mark.parametrize("text", UNEMBEDDABLE)
+def test_unembeddable_app_query_is_no_app_anywhere(backend, text):
+    scenario, index, memory, search = build_world(backend)
+    with pytest.raises(NoAppAnywhereError):
+        select_and_open_app(text, index, Device(scenario), ScriptedPlanner([]), CONFIG)
+    script = [
+        {"do": "select_app", "query": text},
+        {"do": "finish", "success": False, "reason": "no app can do this"},
+    ]
+    run = run_task(
+        "Open something.", scenario, index, memory, search,
+        ScriptedPlanner(script), EffectReflector(), CONFIG,
+    )
+    assert run.outcome == "failure"
+    assert run.app_selections == ()
+    assert {"event": "retrieval", "stage": "apps", "query": text, "found": False} in run.events

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pocketrag.app_index import (
@@ -211,6 +211,30 @@ def test_retrieval_oracle_property(descriptions, query_words):
     expected = oracle_top_k(index, query, 3)
     if outcome.found:
         assert [m.package_id for m in outcome.matches] == [p for p, _ in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(VOCAB), min_size=2, max_size=6),
+        min_size=1,
+        max_size=25,
+    ),
+    st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4),
+    st.floats(0.05, 0.95),
+)
+def test_best_score_is_the_top_match_score(descriptions, query_words, threshold):
+    backend = HashedTokenEmbedder()
+    seeds = [
+        AppSeed(f"A{i}", f"com.p{i:03d}", " ".join(words))
+        for i, words in enumerate(descriptions)
+    ]
+    query = " ".join(query_words)
+    assume(all(backend.encode(text).any() for text in [query] + [s.description for s in seeds]))
+    outcome = AppIndex.build(seeds, backend, threshold=threshold).retrieve(query, k=3)
+    assert outcome.found == (outcome.best_score >= threshold)
+    if outcome.found:
+        assert outcome.best_score == outcome.matches[0].score
 
 
 def test_rejection_monotone_in_threshold(backend):

@@ -203,12 +203,6 @@ def test_memory_disabled_keeps_passes_independent(tmp_path):
         assert row.planner_calls > 0
 
 
-def test_parallelism_does_not_change_report(tmp_path):
-    serial = run_benchmark(PACK_DIR, memory_enabled=False, parallelism=1)
-    parallel = run_benchmark(PACK_DIR, memory_enabled=False, parallelism=4)
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_harness_error_becomes_failure_row(tmp_path):
     def mutate(bundle):
         bundle["task"]["script"] = [

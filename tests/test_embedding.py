@@ -15,7 +15,6 @@ from pocketrag.embedding import (
     HttpEmbedderBackend,
     cosine_similarity,
     embed,
-    embed_many,
     normalize_text,
     register_backend,
     resolve_backend,
@@ -25,7 +24,6 @@ from pocketrag.errors import (
     BackendFailureError,
     DimensionMismatchError,
     EmptyTextError,
-    PocketRagError,
 )
 
 WORDS = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
@@ -103,8 +101,6 @@ def test_self_similarity_property(text):
 def test_empty_text_rejected(backend):
     with pytest.raises(EmptyTextError):
         embed(backend, "   \t\n ")
-    with pytest.raises(EmptyTextError):
-        embed_many(backend, ["fine words", "   \t\n "])
 
 
 def test_tokenless_text_rejected(backend):
@@ -153,8 +149,6 @@ def test_backend_failure_wraps_broken_backend():
 
     with pytest.raises(BackendFailureError):
         embed(Broken(), "hello")
-    with pytest.raises(BackendFailureError):
-        embed_many(Broken(), ["hello", "world"])
 
 
 def test_backend_failure_on_bad_shape():
@@ -167,8 +161,6 @@ def test_backend_failure_on_bad_shape():
 
     with pytest.raises(BackendFailureError):
         embed(WrongShape(), "hello")
-    with pytest.raises(BackendFailureError):
-        embed_many(WrongShape(), ["hello", "world"])
 
 
 def test_http_backend_with_stub_session():
@@ -198,22 +190,15 @@ def test_backend_registry_round_trip():
         resolve_backend("no-such-backend")
 
 
-# four tokens whose signed hashes cancel exactly in 384 dimensions
-ZERO_HASH_TEXT = "zudami vaperi dizopa nezege"
+# texts whose signed token hashes cancel exactly in 384 dimensions
+ZERO_HASH_TEXTS = ["zudami vaperi dizopa nezege", "food browser"]
 
 
 def test_cancelling_tokens_rejected(backend):
-    assert not backend.encode(ZERO_HASH_TEXT).any()
-    with pytest.raises(EmptyTextError):
-        embed(backend, ZERO_HASH_TEXT)
-    with pytest.raises(EmptyTextError):
-        embed_many(backend, ["fine words", ZERO_HASH_TEXT])
-
-
-def reference_embed(backend, text):
-    """The single-text path before batching: divide by the vector's own norm."""
-    raw = np.asarray(backend.encode(text.strip()), dtype=np.float64)
-    return raw / math.sqrt(float(raw @ raw))
+    for text in ZERO_HASH_TEXTS:
+        assert not backend.encode(text).any()
+        with pytest.raises(EmptyTextError):
+            embed(backend, text)
 
 
 class ArrayBackend:
@@ -229,41 +214,32 @@ class ArrayBackend:
         return self.vectors[text]
 
 
-# the full finite range: squares that overflow or underflow must fail alike
+# the full finite range: squares that overflow or underflow must fail
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def assert_batch_matches_single(backend, texts):
-    """Row i equals embedding text i alone, bit for bit, or both paths fail alike."""
-    for text in texts:
-        try:
+def assert_embed_is_raw_over_own_norm(backend, text):
+    """``embed`` is the raw vector over the root of its own dot product, bit for
+    bit, or raises EmptyTextError when that is not a finite unit vector."""
+    raw = np.asarray(backend.encode(text.strip()), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        squared = float(raw @ raw)
+        expected = raw / math.sqrt(squared) if 0.0 < squared < math.inf else None
+    if expected is None or abs(math.sqrt(float(expected @ expected)) - 1.0) > 1e-6:
+        with pytest.raises(EmptyTextError):
             embed(backend, text)
-        except PocketRagError as exc:
-            with pytest.raises(type(exc)):
-                embed_many(backend, texts)
-            return
-    rows = embed_many(backend, texts)
-    assert rows.shape == (len(texts), backend.dimension)
-    for row, text in zip(rows, texts):
-        assert row.tobytes() == reference_embed(backend, text).tobytes()
-        assert row.tobytes() == embed(backend, text).values.tobytes()
+    else:
+        assert embed(backend, text).values.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(TEXTS, min_size=1, max_size=8))
-def test_batch_rows_equal_single_embeds_hashed(texts):
-    assert_batch_matches_single(HashedTokenEmbedder(), texts)
+@given(TEXTS)
+def test_embed_equals_raw_over_own_norm_hashed(text):
+    assert_embed_is_raw_over_own_norm(HashedTokenEmbedder(), text)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(max_examples=100, deadline=None)
-@given(
-    st.dictionaries(
-        WORDS,
-        st.lists(st.one_of(st.just(0.0), FINITE), min_size=8, max_size=8),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_batch_rows_equal_single_embeds_arbitrary_floats(vectors):
-    assert_batch_matches_single(ArrayBackend(vectors), list(vectors))
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), FINITE), min_size=8, max_size=8))
+def test_embed_equals_raw_over_own_norm_arbitrary_floats(vector):
+    assert_embed_is_raw_over_own_norm(ArrayBackend({"text": vector}), "text")

@@ -74,50 +74,43 @@ N = 2 * BLOCK + 1
 
 
 def rows_and_mirror(count=N, dimension=4, seed=0):
+    """A store of ``count`` random vectors, and a dict holding the same."""
     rng = np.random.default_rng(seed)
     rows = VectorRows(dimension)
-    mirror = []
-    for _ in range(count):
-        vector = rng.standard_normal(dimension)
-        assert rows.append(vector) == len(mirror)
-        mirror.append(vector)
+    mirror = {}
+    for i in range(count):
+        key = f"key{i:05d}"
+        mirror[key] = rng.standard_normal(dimension)
+        rows.add(key, mirror[key])
     return rows, mirror
 
 
-# uneven extend sizes summing to N; the 1000- and 8-row chunks cross the two
-# block boundaries part way through
-CHUNKS = [1, 700, 1000, 340, 8]
+def oracle_search(mirror, query, k):
+    """``search`` spelled out: score each key alone, fully sort, take ``k``."""
+    keys = list(mirror)
+    scores = np.array([float(query @ mirror[key]) for key in keys])
+    return [(keys[i], float(scores[i])) for i in full_sort(scores, keys, k)]
 
 
-def extended_rows(mirror, dimension=4):
-    rows = VectorRows(dimension)
-    done = 0
-    for size in CHUNKS:
-        rows.extend(np.stack(mirror[done : done + size]))
-        done += size
-    assert done == len(rows) == len(mirror)
-    return rows
+def assert_store_matches(rows, mirror):
+    assert len(rows) == len(mirror)
+    for key, vector in mirror.items():
+        assert np.array_equal(rows.vector(key), vector)
 
 
-def stored(rows):
-    return np.array([rows.row(i) for i in range(len(rows))]).reshape(len(rows), rows.dimension)
-
-
-def test_rows_span_blocks_and_score_in_row_order():
-    appended, mirror = rows_and_mirror()
+def test_rows_span_blocks_and_search_every_key():
+    rows, mirror = rows_and_mirror()
+    assert_store_matches(rows, mirror)
     query = np.arange(4, dtype=np.float64)
-    for rows in (appended, extended_rows(mirror)):
-        assert len(rows) == N
-        assert np.array_equal(stored(rows), np.stack(mirror))
-        assert np.allclose(rows.scores(query), np.stack(mirror) @ query)
-        assert np.array_equal(rows.scores(query), appended.scores(query))
+    assert rows.search(query, N) == oracle_search(mirror, query, N)
+    assert rows.search(query, 3) == oracle_search(mirror, query, 3)
 
 
 def test_rows_growth_never_moves_stored_rows():
     rows, _ = rows_and_mirror(BLOCK)
-    first = rows.row(0)
-    rows.append(np.ones(4))  # opens the second block
-    assert np.shares_memory(first, rows.row(0))
+    first = rows.vector("key00000")
+    rows.add("extra", np.ones(4))  # opens the second block
+    assert np.shares_memory(first, rows.vector("key00000"))
 
 
 @pytest.mark.parametrize(
@@ -125,23 +118,85 @@ def test_rows_growth_never_moves_stored_rows():
 )
 def test_swap_remove_moves_last_row_into_the_gap(remove):
     rows, mirror = rows_and_mirror()
+    order = list(mirror)  # the key of each row
     for row in remove:
-        mirror[row] = mirror[-1]
-        mirror.pop()
-        rows.swap_remove(row)
-        assert np.array_equal(stored(rows), np.stack(mirror))
-    assert np.allclose(rows.scores(np.ones(4)), np.stack(mirror) @ np.ones(4))
+        key, last = order[row], order[-1]
+        gap = rows.vector(key)
+        order[row] = last
+        order.pop()
+        del mirror[key]
+        rows.remove(key)
+        if last != key:
+            assert np.shares_memory(gap, rows.vector(last))
+        assert_store_matches(rows, mirror)
+    assert rows.search(np.ones(4), 5) == oracle_search(mirror, np.ones(4), 5)
 
 
 def test_drained_rows_accept_rows_again():
     rows, mirror = rows_and_mirror()
-    while mirror:
-        mirror[0] = mirror[-1]
-        mirror.pop()
-        rows.swap_remove(0)
-        if mirror:
-            assert np.array_equal(rows.row(0), mirror[0])
+    for key in list(mirror):
+        del mirror[key]
+        rows.remove(key)
+        if len(mirror) % 500 == 0:
+            assert_store_matches(rows, mirror)
     assert len(rows) == 0
-    rows.append(np.zeros(4))
-    assert len(rows) == 1
-    assert np.array_equal(rows.scores(np.ones(4)), [0.0])
+    assert rows.search(np.ones(4), 3) == []
+    rows.add("key00000", np.zeros(4))
+    assert rows.search(np.ones(4), 3) == [("key00000", 0.0)]
+
+
+def test_rows_reject_a_stored_key():
+    rows, _ = rows_and_mirror(2)
+    with pytest.raises(KeyError):
+        rows.add("key00001", np.ones(4))
+    with pytest.raises(KeyError):
+        rows.remove("missing")
+
+
+# unit vectors at these angles: equal angles give exactly tied scores, and
+# angles 1e-9 apart give scores about 5e-10 to 1e-9 apart, on either side
+# of a 9th-decimal rounding step
+ANGLES = [0.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9, 0.5 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 3.0]
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 40), st.sampled_from(ANGLES)),
+        st.tuples(st.just("remove"), st.integers(0, 40)),
+        st.tuples(st.just("search"), st.sampled_from(ANGLES), st.integers(1, 8)),
+    ),
+    max_size=60,
+)
+
+
+def unit(angle):
+    return np.array([np.cos(angle), np.sin(angle)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations)
+def test_store_behaves_as_a_dict_with_a_full_sort(ops):
+    # blocks of 4 rows, so short sequences cross block boundaries both ways
+    original = embedding._BLOCK_ROWS
+    embedding._BLOCK_ROWS = 4
+    try:
+        rows = VectorRows(2)
+        mirror = {}
+        for op in ops:
+            if op[0] == "add":
+                key = f"k{op[1]:02d}"
+                if key in mirror:
+                    continue
+                mirror[key] = unit(op[2])
+                rows.add(key, mirror[key])
+            elif op[0] == "remove":
+                key = f"k{op[1]:02d}"
+                if key not in mirror:
+                    continue
+                del mirror[key]
+                rows.remove(key)
+            else:
+                query = unit(op[1])
+                assert rows.search(query, op[2]) == oracle_search(mirror, query, op[2])
+            assert_store_matches(rows, mirror)
+    finally:
+        embedding._BLOCK_ROWS = original

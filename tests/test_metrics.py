@@ -238,20 +238,6 @@ def test_hand_tally_three_tasks():
     assert report.tsr_pct == pytest.approx(200.0 / 3.0, abs=0.1)
 
 
-def test_af_executed_denominator_flag():
-    runs, truths = hand_tally_fixture()
-    report = compute_metrics(runs, truths, af_denominator="executed")
-    # same matched counts; 8 steps were executed in total as well (3 + 3 + 2)
-    assert report.af_pct == pytest.approx(75.0, abs=0.1)
-
-
-def test_af_can_exclude_launch_steps():
-    runs, truths = hand_tally_fixture()
-    report = compute_metrics(runs, truths, include_launch=False)
-    # launches drop from both sides: matched (2+1+2)=5 of (2+2+2)=6
-    assert report.af_pct == pytest.approx(500.0 / 6.0, abs=0.1)
-
-
 def test_success_requires_all_subgoals():
     truth = GroundTruth(
         expected_apps=(),
