@@ -33,6 +33,7 @@ from .errors import (
     AppNotInstalledError,
     EmptyTextError,
     NoAppAnywhereError,
+    NotInStoreError,
     PocketRagError,
     ScenarioMismatchError,
 )
@@ -359,17 +360,17 @@ def _memory_phase(
     # exact hit: reacquire any store apps the trace launches, then replay
     state.memory_hit = MEMORY_HIT_EXACT
     state.log("memory_lookup", hit=MEMORY_HIT_EXACT, matched_query=match.record.query_text)
-    installed = set(device.installed_packages)
-    store = {seed.package_id for seed in device.store_seeds}
+    # the index mirrors the installed apps; the replay aborts on an unsold one
     for step in match.record.trace.steps:
         action = step.action
-        if action.kind == "launch" and action.package not in installed:
-            if action.package in store:
+        if action.kind == "launch" and action.package not in index:
+            try:
                 seed = device.install_from_store(action.package)
-                index.register(seed, installed=True)
-                installed.add(action.package)
-                state.installs += 1
-                state.log("install", package=action.package, phase="replay_prepare")
+            except NotInStoreError:
+                continue
+            index.register(seed, installed=True)
+            state.installs += 1
+            state.log("install", package=action.package, phase="replay_prepare")
 
     result = replay(match.record, device)
     if result.completed:
@@ -454,7 +455,7 @@ def _planning_loop(
             state.history.append(HistoryEntry(step=device.history[-1]))
             state.log("action", step=device.history[-1].to_dict())
         elif decision.kind == DECISION_ACT:
-            before = device.observe()
+            before = context.screen  # the device is unchanged since it was observed
             try:
                 step = device.execute(decision.action)
             except AppNotInstalledError as exc:

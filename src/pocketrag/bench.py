@@ -19,18 +19,18 @@ from typing import Callable, Mapping, Sequence
 
 from .agent import AgentConfig, TaskRun, run_task
 from .app_index import AppIndex
-from .embedding import EmbedderBackend, resolve_backend
+from .embedding import resolve_backend
 from .errors import (
     DanglingScenarioRefError,
     InvalidGroundTruthError,
     ManifestError,
     PocketRagError,
 )
-from .metrics import GroundTruth, MetricsReport, compute_metrics
-from .planning import EffectReflector, Planner, Reflector, ScriptedPlanner
+from .metrics import GroundTruth, MetricsReport, aggregate, compute_metrics
+from .planning import EffectReflector, Planner, ScriptedPlanner
 from .simulator import Scenario
 from .task_memory import MemoryStore
-from .web_search import FixtureSearchBackend, SearchBackend, formulate_query
+from .web_search import FixtureSearchBackend, formulate_query
 
 logger = logging.getLogger(__name__)
 
@@ -293,37 +293,28 @@ def scripted_planner_factory(task: BenchmarkTask) -> Planner:
     return ScriptedPlanner(task.script)
 
 
-def effect_reflector_factory(task: BenchmarkTask) -> Reflector:
-    return EffectReflector()
-
-
 def run_benchmark(
     pack: Pack | str | Path,
     planner_factory: Callable[[BenchmarkTask], Planner] = scripted_planner_factory,
-    reflector_factory: Callable[[BenchmarkTask], Reflector] = effect_reflector_factory,
-    search_backend_factory: Callable[[Scenario], SearchBackend] | None = None,
-    config: AgentConfig | None = None,
     memory_enabled: bool = True,
     suite: str = "default",
-    backend: EmbedderBackend | None = None,
     out_dir: str | Path | None = None,
 ) -> BenchmarkReport:
-    """Run one suite and aggregate the report.
+    """Run one suite exactly as the pack defines it and aggregate the report.
 
-    Tasks run serially in suite order. With memory enabled they share one
-    memory store, so repeated task ids exercise exact replay; with memory
-    disabled each task gets a fresh store.
+    Every task gets the manifest's ``agent_config``, the reference embedder,
+    an ``EffectReflector`` and fixture search. Tasks run serially in suite
+    order. With memory enabled they share one memory store, so repeated task
+    ids exercise exact replay; with memory disabled each task gets a fresh
+    store. Run ``n`` of a task id belongs to pass ``n``, and each pass report
+    aggregates the overall report's rows for its pass.
     """
     if not isinstance(pack, Pack):
         pack = load_pack(pack)
     if suite not in pack.suites:
         raise ManifestError(f"pack has no suite named {suite!r}")
-    config = config or pack.agent_config
-    backend = backend or resolve_backend(DEFAULT_BACKEND_NAME)
-    if search_backend_factory is None:
-        search_backend_factory = lambda scenario: FixtureSearchBackend(
-            scenario.search_fixtures
-        )
+    config = pack.agent_config
+    backend = resolve_backend(DEFAULT_BACKEND_NAME)
 
     shared_memory = None
     if memory_enabled:
@@ -336,7 +327,7 @@ def run_benchmark(
     occurrence: dict[str, int] = {}
     runs: list[TaskRun] = []
     run_ids: list[str] = []
-    passes: dict[int, tuple[list[TaskRun], list[str]]] = {}
+    run_pass: list[int] = []
     errors: list[HarnessError] = []
     for task_id in task_ids:
         occurrence[task_id] = n = occurrence.get(task_id, 0) + 1
@@ -357,9 +348,9 @@ def run_benchmark(
                 scenario=scenario,
                 index=index,
                 memory=memory,
-                search_backend=search_backend_factory(scenario),
+                search_backend=FixtureSearchBackend(scenario.search_fixtures),
                 planner=planner_factory(task),
-                reflector=reflector_factory(task),
+                reflector=EffectReflector(),
                 config=config,
                 task_id=task.task_id,
             )
@@ -371,17 +362,15 @@ def run_benchmark(
             continue
         runs.append(run)
         run_ids.append(run_id)
-        pass_runs, pass_ids = passes.setdefault(n, ([], []))
-        pass_runs.append(run)
-        pass_ids.append(run_id)
+        run_pass.append(n)
 
     truths = {t.task_id: t.ground_truth for t in pack.tasks}
     metrics = compute_metrics(runs, truths, run_ids=run_ids, total_tasks=len(task_ids))
-    per_pass = []
-    if len(passes) > 1:
-        for n in sorted(passes):
-            pass_runs, pass_ids = passes[n]
-            per_pass.append(compute_metrics(pass_runs, truths, run_ids=pass_ids))
+    passes = sorted(set(run_pass))
+    per_pass = [
+        aggregate([row for row, p in zip(metrics.tasks, run_pass) if p == n])
+        for n in passes
+    ] if len(passes) > 1 else []
 
     report = BenchmarkReport(
         pack_name=pack.name,

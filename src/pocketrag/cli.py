@@ -23,7 +23,6 @@ from .app_index import (
 )
 from .bench import (
     BenchmarkTask,
-    load_pack,
     run_benchmark,
     validate_pack,
     write_run_log,
@@ -189,15 +188,10 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
-    pack = load_pack(args.pack)
-    agent_config = pack.agent_config
-    if args.planner != "scripted":
-        raise PocketRagError("only the scripted planner is wired for bench runs")
     report = run_benchmark(
-        pack,
+        args.pack,
         memory_enabled=args.memory == "on",
         suite=args.suite,
-        config=agent_config,
         out_dir=args.out,
     )
     print(report.render_text(), end="")
@@ -310,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark pack")
     p_bench.add_argument("--pack", required=True)
     p_bench.add_argument("--suite", default="default")
-    p_bench.add_argument("--planner", default="scripted")
     p_bench.add_argument("--memory", default="on", choices=["on", "off"])
     p_bench.add_argument("--out")
     p_bench.set_defaults(func=_cmd_bench)

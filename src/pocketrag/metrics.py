@@ -12,7 +12,8 @@ Metrics over a set of task runs:
   screen visited) satisfied by the run's trace.
 - task success: the run claimed success and met every sub-goal.
 
-All percentages are recomputable from serialized runs alone.
+``score_run`` makes one row per run and ``aggregate`` sums rows into a
+report, so every percentage is recomputable from serialized runs alone.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def compute_metrics(
     run_ids: Sequence[str] | None = None,
     total_tasks: int | None = None,
 ) -> MetricsReport:
-    """Aggregate the five metrics over a run set.
+    """Score each run once, then aggregate the rows into the five metrics.
 
     ``truths`` is keyed by task id; every run must have one. ``total_tasks``
     widens the success-rate denominator when some tasks never produced a
@@ -326,9 +327,13 @@ def compute_metrics(
             raise MisalignmentError(f"no ground truth for task {run.task_id!r}")
         rid = run_ids[i] if run_ids is not None else None
         scores.append(score_run(run, truth, run_id=rid))
+    return aggregate(scores, total_tasks)
 
+
+def aggregate(scores: Sequence[TaskScore], total_tasks: int | None = None) -> MetricsReport:
+    """Sum task rows, kept in order, into a report; ``total_tasks`` defaults to their count."""
     tsr_denominator = total_tasks if total_tasks is not None else len(scores)
-    report = MetricsReport(
+    return MetricsReport(
         as_pct=_pct(
             sum(s.selections_correct for s in scores),
             sum(s.selections_total for s in scores),
@@ -354,4 +359,3 @@ def compute_metrics(
         ),
         tasks=tuple(scores),
     )
-    return report

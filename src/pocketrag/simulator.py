@@ -433,10 +433,6 @@ class Device:
         return sorted(self._installed)
 
     @property
-    def store_seeds(self) -> list[AppSeed]:
-        return [self._store[pid] for pid in sorted(self._store)]
-
-    @property
     def stopped(self) -> bool:
         return self._stopped
 

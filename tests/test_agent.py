@@ -126,6 +126,38 @@ def test_exact_replay_reinstalls_store_apps(backend):
     assert "com.weather" in fresh_index
 
 
+def test_exact_replay_of_an_app_nowhere_aborts_at_its_launch(backend):
+    scenario, index, memory, search = build_world(backend)
+    first = run_task(
+        "Check the weather for tomorrow.", scenario, index, memory, search,
+        ScriptedPlanner(KNOWLEDGE_SCRIPT), EffectReflector(), CONFIG,
+    )
+    assert first.outcome == "success"
+    launch = [s.action.kind for s in first.trace.steps].index("launch")
+
+    # same memory, but a phone whose store no longer sells the weather app
+    unsold = mini_scenario_dict()
+    unsold["store_catalog"] = []
+    del unsold["app_graphs"]["com.weather"]
+    unsold_scenario = Scenario.from_dict(unsold)
+    fresh_index = AppIndex.build(unsold_scenario.installed_apps, backend, threshold=0.3)
+    second = run_task(
+        "check the weather for tomorrow", unsold_scenario, fresh_index, memory, search,
+        ScriptedPlanner([{"do": "finish", "success": False, "reason": "no app"}]),
+        EffectReflector(), CONFIG,
+    )
+    assert second.counters.memory_hit == "exact"
+    assert second.counters.installs == 0
+    assert not [e for e in second.events if e["event"] == "install"]
+    [replay_event] = [e for e in second.events if e["event"] == "replay"]
+    assert replay_event["status"] == "aborted"
+    assert replay_event["abort_index"] == launch
+    assert replay_event["reason"] == "AppNotInstalledError"
+    assert second.counters.planner_calls == 1  # planning resumed after the abort
+    assert second.outcome == "failure"
+    assert "com.weather" not in fresh_index
+
+
 def test_aborted_replay_falls_back_to_planning(backend):
     scenario, index, memory, search = build_world(backend)
     run_task(

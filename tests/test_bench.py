@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from pocketrag import metrics
 from pocketrag.bench import (
     BenchmarkTask,
     compute_stats,
@@ -254,6 +256,36 @@ def test_memory_mode_does_not_change_first_pass():
     assert with_memory.per_pass[0].to_dict() == without.metrics.to_dict()
 
 
+def test_each_run_is_scored_once(monkeypatch):
+    calls = []
+    original = metrics.score_run
+
+    def counting(run, truth, run_id=None):
+        calls.append(run_id)
+        return original(run, truth, run_id=run_id)
+
+    monkeypatch.setattr(metrics, "score_run", counting)
+    report = run_benchmark(PACK_DIR, memory_enabled=True, suite="repeat")
+    assert len(report.per_pass) == 2
+    assert calls == report.run_ids
+
+
+@pytest.mark.parametrize("memory", [True, False])
+def test_each_pass_report_equals_scoring_its_runs(memory):
+    report = run_benchmark(PACK_DIR, memory_enabled=memory, suite="repeat")
+    truths = {t.task_id: t.ground_truth for t in load_pack(PACK_DIR).tasks}
+    assert len(report.per_pass) == 2
+    for n, pass_report in enumerate(report.per_pass, start=1):
+        pairs = [
+            (run, run_id)
+            for run, run_id in zip(report.runs, report.run_ids)
+            if (run_id.partition("@")[2] or "1") == str(n)
+        ]
+        runs, run_ids = [run for run, _ in pairs], [run_id for _, run_id in pairs]
+        assert runs
+        assert pass_report.to_dict() == compute_metrics(runs, truths, run_ids=run_ids).to_dict()
+
+
 def test_report_files_and_log_round_trip(tmp_path):
     out_dir = tmp_path / "out"
     report = run_benchmark(PACK_DIR, memory_enabled=False, out_dir=out_dir)
@@ -273,3 +305,31 @@ def test_report_files_and_log_round_trip(tmp_path):
     assert recomputed.rp_pct == original.rp_pct
     assert recomputed.tcr_pct == original.tcr_pct
     assert recomputed.tsr_pct == original.tsr_pct
+
+
+# sha256 over report.json, report.txt and every run log of a desk run, taken
+# before per-pass reports were aggregated from the overall report's rows. The
+# logs hold no retrieval or memory score, and the report's floats are ratios
+# of integer sums, so the digests do not depend on the machine's BLAS.
+DESK_OUTPUT_SHA256 = {
+    ("default", True): "0974126771c080085e5e3bd0feb2f2da8a11976985fdec7dbd96e6f2dc4c26ea",
+    ("default", False): "b64c81680cc1a4766dfaade158110bb8b2cf95e265403ac92b195fc2016c5ee5",
+    ("repeat", True): "c826b927efafdcf0b92cc09b94349c10536a9a3bb17bb4878179d61799485341",
+    ("repeat", False): "9edac612c5f99ef98ef3319e97a166ce7d9d7cf3dcecb74a5ec10b20d03df876",
+}
+
+
+def output_digest(out_dir: Path) -> str:
+    files = [out_dir / "report.json", out_dir / "report.txt"]
+    files += sorted((out_dir / "runs").glob("*.jsonl"))
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("suite,memory", sorted(DESK_OUTPUT_SHA256))
+def test_desk_outputs_are_pinned(tmp_path, suite, memory):
+    run_benchmark(PACK_DIR, memory_enabled=memory, suite=suite, out_dir=tmp_path)
+    assert output_digest(tmp_path) == DESK_OUTPUT_SHA256[suite, memory]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pocketrag.bench import load_pack
 from pocketrag.errors import (
     AppNotInstalledError,
     DeviceStoppedError,
@@ -13,12 +17,14 @@ from pocketrag.errors import (
     ScenarioError,
 )
 from pocketrag.simulator import (
+    SWIPE_DIRECTIONS,
     Action,
     ActionTrace,
     Device,
     Scenario,
     UiElement,
 )
+from pocketrag.task_memory import MemoryRecord, replay
 
 from conftest import PACK_DIR, mini_scenario_dict
 
@@ -345,3 +351,71 @@ def test_typed_text_placeholder_is_not_expanded(mini_scenario):
     device.execute(Action.type_text("time_field", "{text} at {flag:missing}"))
     device.execute(Action.tap("save_alarm"))
     assert device.observe().state_flags["alarm_set"] == "{text} at {flag:missing}"
+
+
+TYPED_TEXTS = ("08:00", "milk", "{text}", "{flag:x}", "")
+
+
+def play_random_actions(data, device: Device, count: int) -> list[Action]:
+    """Draw and execute ``count`` actions, each valid on the screen it meets.
+
+    Taps and types target an element of the current screen; swipes, back
+    and launches of installed apps may be drawn anywhere.
+    """
+    actions = []
+    for _ in range(count):
+        element_ids = sorted(device.observe().element_ids())
+        kinds = ["swipe", "back", "launch"] + (["tap", "type"] if element_ids else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "tap":
+            action = Action.tap(data.draw(st.sampled_from(element_ids)))
+        elif kind == "type":
+            action = Action.type_text(
+                data.draw(st.sampled_from(element_ids)), data.draw(st.sampled_from(TYPED_TEXTS))
+            )
+        elif kind == "swipe":
+            action = Action.swipe(data.draw(st.sampled_from(SWIPE_DIRECTIONS)))
+        elif kind == "back":
+            action = Action.back()
+        else:
+            action = Action.launch(data.draw(st.sampled_from(device.installed_packages)))
+        device.execute(action)
+        actions.append(action)
+    return actions
+
+
+@functools.cache
+def desk_scenarios() -> list[Scenario]:
+    return sorted(load_pack(PACK_DIR).scenarios.values(), key=lambda s: s.scenario_id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.data())
+def test_random_actions_are_deterministic(count, data):
+    # the first device is observed before every step, the second never is
+    scenario = data.draw(st.sampled_from(desk_scenarios()))
+    first = Device(scenario)
+    actions = play_random_actions(data, first, count)
+    second = Device(scenario)
+    for action in actions:
+        second.execute(action)
+    assert second.history == first.history
+    assert second.observe() == first.observe()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.booleans(), st.data())
+def test_replaying_a_stopped_trace_reproduces_flags_and_screen(count, success, data):
+    scenario = data.draw(st.sampled_from(desk_scenarios()))
+    device = Device(scenario)
+    play_random_actions(data, device, count)
+    device.execute(Action.stop(success))
+    trace = ActionTrace(steps=tuple(device.history))
+    record = MemoryRecord("task", "task", trace, created_at=1.0)
+
+    fresh = Device(scenario)
+    outcome = replay(record, fresh)
+    assert outcome.completed
+    assert outcome.actions_executed == len(trace)
+    assert fresh.history == device.history
+    assert fresh.observe() == device.observe()
