@@ -19,8 +19,8 @@ builds its own.
 
 Cost model: a knowledge request is 1 planner call and 0 mobile steps; an
 app selection is 1 planner call, with the launch costing 1 mobile step
-(plus the configured install cost when the app came from the store); each
-act is 1 planner call plus 1 mobile step.
+(the budget also charges ``INSTALL_STEP_COST`` when the app came from the
+store); each act is 1 planner call plus 1 mobile step, and is reflected on.
 """
 
 from __future__ import annotations
@@ -61,22 +61,19 @@ MEMORY_HIT_EXACT = "exact"
 MEMORY_HIT_SIMILAR = "similar"
 MEMORY_HIT_NONE = "none"
 
-REFLECT_ALWAYS = "always"
-REFLECT_ON_NOOP = "on_noop"
+# mobile steps a store install charges against the step budget
+INSTALL_STEP_COST = 1
 
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Thresholds, retrieval widths, budgets, and accounting knobs."""
+    """Thresholds, retrieval width and budgets."""
 
     tau_local: float = 0.5
     tau_mem: float = 0.8
     k_apps: int = 3
-    k_search: int = 10
     max_steps: int = 30
     max_planner_calls: int = 30
-    install_step_cost: int = 1
-    reflect_mode: str = REFLECT_ALWAYS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau_local < 1.0:
@@ -85,16 +82,10 @@ class AgentConfig:
             raise ValueError("tau_mem must be in (0, 1)")
         if self.k_apps < 1:
             raise ValueError("k_apps must be >= 1")
-        if self.k_search < 1:
-            raise ValueError("k_search must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.max_planner_calls < 1:
             raise ValueError("max_planner_calls must be >= 1")
-        if self.install_step_cost < 0:
-            raise ValueError("install_step_cost must be >= 0")
-        if self.reflect_mode not in (REFLECT_ALWAYS, REFLECT_ON_NOOP):
-            raise ValueError(f"unknown reflect_mode {self.reflect_mode!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AgentConfig":
@@ -138,8 +129,9 @@ class TaskRun:
     counters: RunCounters
     events: tuple[dict, ...] = ()
 
-    def to_dict(self, include_events: bool = False) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        """The run without its events, which the run log writes line by line."""
+        return {
             "task_id": self.task_id,
             "outcome": self.outcome,
             "trace": self.trace.to_jsonable(),
@@ -150,9 +142,6 @@ class TaskRun:
             ],
             "counters": self.counters.to_dict(),
         }
-        if include_events:
-            data["events"] = list(self.events)
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TaskRun":
@@ -175,16 +164,14 @@ class TaskRun:
                 installs=int(data["counters"]["installs"]),
                 memory_hit=data["counters"]["memory_hit"],
             ),
-            events=tuple(data.get("events", ())),
         )
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """What select_and_open_app did: the launched package and its cost."""
+    """What select_and_open_app did: the launched package and where it came from."""
 
     package_id: str
-    steps_used: int
     installed_from_store: bool
     candidates: tuple[AppMatch, ...]
 
@@ -204,42 +191,34 @@ def select_and_open_app(
     planner: Planner,
     config: AgentConfig,
 ) -> SelectionResult:
-    """Resolve an app request: local hit, or store install, then launch.
+    """Resolve an app request: retrieve, pick, install if from the store, launch.
 
-    A local match launches in exactly one mobile step. When the local
-    index rejects the query, the scenario's store index is retrieved the
-    same way; a store hit is installed (``install_step_cost`` steps),
-    registered into the live index, and launched. Raises
-    NoAppAnywhereError when neither side clears the threshold, or when the
-    query embeds to nothing.
+    The local index is retrieved first. When it rejects the query, the
+    scenario's store index is retrieved the same way, and the picked store
+    app is installed and registered into the live index before its launch.
+    The launch is one mobile step either way. Raises NoAppAnywhereError
+    when neither side clears the threshold, or when the query embeds to
+    nothing.
     """
     outcome = _retrieve(index, app_query, config.k_apps)
-    if outcome.found:
-        pick = planner.pick_app(app_query, outcome.matches)
-        device.execute(Action.launch(pick))
-        return SelectionResult(
-            package_id=pick,
-            steps_used=1,
-            installed_from_store=False,
-            candidates=outcome.matches,
-        )
-
-    store_index = device.scenario.store_index(index.backend, index.threshold)
-    store_outcome = _retrieve(store_index, app_query, config.k_apps)
-    if not store_outcome.found:
-        raise NoAppAnywhereError(
-            f"no app matches {app_query!r}: local best "
-            f"{outcome.best_score!r}, store best {store_outcome.best_score!r}"
-        )
-    pick = planner.pick_app(app_query, store_outcome.matches)
-    seed = device.install_from_store(pick)
-    index.register(seed, installed=True)
+    from_store = not outcome.found
+    if from_store:
+        store_index = device.scenario.store_index(index.backend, index.threshold)
+        store_outcome = _retrieve(store_index, app_query, config.k_apps)
+        if not store_outcome.found:
+            raise NoAppAnywhereError(
+                f"no app matches {app_query!r}: local best "
+                f"{outcome.best_score!r}, store best {store_outcome.best_score!r}"
+            )
+        outcome = store_outcome
+    pick = planner.pick_app(app_query, outcome.matches)
+    if from_store:
+        index.register(device.install_from_store(pick))
     device.execute(Action.launch(pick))
     return SelectionResult(
         package_id=pick,
-        steps_used=1 + config.install_step_cost,
-        installed_from_store=True,
-        candidates=store_outcome.matches,
+        installed_from_store=from_store,
+        candidates=outcome.matches,
     )
 
 
@@ -368,7 +347,7 @@ def _memory_phase(
                 seed = device.install_from_store(action.package)
             except NotInStoreError:
                 continue
-            index.register(seed, installed=True)
+            index.register(seed)
             state.installs += 1
             state.log("install", package=action.package, phase="replay_prepare")
 
@@ -399,7 +378,7 @@ def _planning_loop(
     state: _RunState,
 ) -> str:
     while True:
-        steps_consumed = len(device.history) + state.installs * config.install_step_cost
+        steps_consumed = len(device.history) + state.installs * INSTALL_STEP_COST
         if state.planner_calls >= config.max_planner_calls:
             state.log("budget", exhausted="planner_calls")
             return OUTCOME_BUDGET
@@ -423,7 +402,7 @@ def _planning_loop(
 
         if decision.kind == DECISION_NEED_KNOWLEDGE:
             query = formulate_query(instruction, decision.entities)
-            context_out = search(search_backend, query, k=config.k_search)
+            context_out = search(search_backend, query)
             state.knowledge = context_out.digest
             state.searches += 1
             state.log(
@@ -462,17 +441,15 @@ def _planning_loop(
                 state.notices.append(f"launch failed: {exc} is not installed")
                 continue
             state.log("action", step=step.to_dict())
-            verdict = None
-            if config.reflect_mode == REFLECT_ALWAYS or step.effect == "no_op":
-                after = device.observe()
-                verdict = reflector.reflect(before, decision.action, after, instruction)
-                state.reflections.append((len(device.history) - 1, verdict))
-                state.log(
-                    "reflection",
-                    index=len(device.history) - 1,
-                    ok=verdict.ok,
-                    diagnosis=verdict.diagnosis,
-                )
+            after = device.observe()
+            verdict = reflector.reflect(before, decision.action, after, instruction)
+            state.reflections.append((len(device.history) - 1, verdict))
+            state.log(
+                "reflection",
+                index=len(device.history) - 1,
+                ok=verdict.ok,
+                diagnosis=verdict.diagnosis,
+            )
             state.history.append(HistoryEntry(step=step, verdict=verdict))
             if device.stopped:
                 final = device.history[-1].action

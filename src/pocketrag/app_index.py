@@ -41,6 +41,7 @@ from .errors import (
 )
 
 NONE_SENTINEL = "NONE"
+NEGATIVES_PER_EXAMPLE = 3
 
 SOURCE_PREINSTALLED = "preinstalled"
 SOURCE_STORE = "store_installed"
@@ -148,7 +149,6 @@ class AppIndex:
         backend: EmbedderBackend,
         threshold: float = 0.5,
         installed: bool = True,
-        source: str = SOURCE_PREINSTALLED,
     ) -> "AppIndex":
         """Embed a catalog of seeds into a fresh index.
 
@@ -157,7 +157,7 @@ class AppIndex:
         """
         index = cls(backend, threshold)
         seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
-        index._insert([_Entry(seed, installed, source) for seed in seeds])
+        index._insert([_Entry(seed, installed, SOURCE_PREINSTALLED) for seed in seeds])
         return index
 
     def _insert(
@@ -253,13 +253,8 @@ class AppIndex:
             matches.append(AppMatch(seed.package_id, seed.app_name, seed.description, score))
         return RetrievalOutcome(matches=tuple(matches), best_score=best)
 
-    def register(
-        self,
-        seed: AppSeed,
-        installed: bool = True,
-        source: str = SOURCE_STORE,
-    ) -> AppRecord:
-        """Add a new app; idempotent for an identical record.
+    def register(self, seed: AppSeed) -> AppRecord:
+        """Add an app installed from the store; idempotent for an identical record.
 
         Raises ConflictingRecordError when the package id exists with a
         different description. Never changes scores of existing records.
@@ -271,7 +266,7 @@ class AppIndex:
                     f"{seed.package_id} already indexed with a different description"
                 )
             return self._record(existing)
-        self._insert([_Entry(seed, installed, source)])
+        self._insert([_Entry(seed, True, SOURCE_STORE)])
         return self._record(self._records[seed.package_id])
 
     # --- persistence ---
@@ -413,14 +408,14 @@ def generate_training_corpus(
     queries_per_app: int,
     none_fraction: float,
     query_source: QuerySource,
-    negatives_per_example: int = 3,
     seed: int = 0,
 ) -> list[TrainingExample]:
     """Emit positives per app plus none-cases at the requested fraction.
 
-    With P positives, the number of none-cases is round(P * f / (1 - f)),
-    which keeps the none share of the whole corpus at ``none_fraction``
-    within one example.
+    Each example samples up to ``NEGATIVES_PER_EXAMPLE`` negatives. With P
+    positives, the number of none-cases is round(P * f / (1 - f)), which
+    keeps the none share of the whole corpus at ``none_fraction`` within
+    one example.
     """
     seeds = [s if isinstance(s, AppSeed) else AppSeed.from_dict(s) for s in catalog]
     if not seeds:
@@ -448,7 +443,7 @@ def generate_training_corpus(
             )
         others = [pid for pid in package_ids if pid != app.package_id]
         for query in queries[:queries_per_app]:
-            negatives = rng.sample(others, min(negatives_per_example, len(others)))
+            negatives = rng.sample(others, min(NEGATIVES_PER_EXAMPLE, len(others)))
             examples.append(
                 TrainingExample(
                     query=query,
@@ -466,7 +461,7 @@ def generate_training_corpus(
             raise QuerySourceFailureError(str(exc)) from exc
         for query in none_qs[:none_count]:
             negatives = rng.sample(
-                package_ids, min(negatives_per_example, len(package_ids))
+                package_ids, min(NEGATIVES_PER_EXAMPLE, len(package_ids))
             )
             examples.append(
                 TrainingExample(

@@ -19,10 +19,11 @@ from typing import Callable, Mapping, Sequence
 
 from .agent import AgentConfig, TaskRun, run_task
 from .app_index import AppIndex
-from .embedding import resolve_backend
+from .embedding import DEFAULT_BACKEND, resolve_backend
 from .errors import (
     DanglingScenarioRefError,
     InvalidGroundTruthError,
+    MalformedEntryError,
     ManifestError,
     PocketRagError,
 )
@@ -39,8 +40,6 @@ TIER_MULTI_APP = "multi_app"
 TIER_OPEN_SCENARIO = "open_scenario"
 TIERS = (TIER_ATOMIC, TIER_MULTI_APP, TIER_OPEN_SCENARIO)
 
-DEFAULT_BACKEND_NAME = "hashed-token-384"
-
 
 @dataclass(frozen=True)
 class BenchmarkTask:
@@ -53,19 +52,23 @@ class BenchmarkTask:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BenchmarkTask":
-        tier = data["tier"]
-        if tier not in TIERS:
-            raise InvalidGroundTruthError(
-                f"task {data.get('task_id')!r}: unknown tier {tier!r}"
+        """Raises MalformedEntryError when a field is missing or has the wrong type."""
+        try:
+            tier = data["tier"]
+            if tier not in TIERS:
+                raise InvalidGroundTruthError(
+                    f"task {data.get('task_id')!r}: unknown tier {tier!r}"
+                )
+            return cls(
+                task_id=data["task_id"],
+                instruction=data["instruction"],
+                tier=tier,
+                scenario_ref=data["scenario"],
+                ground_truth=GroundTruth.from_dict(data["ground_truth"]),
+                script=tuple(dict(s) for s in data.get("script", [])),
             )
-        return cls(
-            task_id=data["task_id"],
-            instruction=data["instruction"],
-            tier=tier,
-            scenario_ref=data["scenario"],
-            ground_truth=GroundTruth.from_dict(data["ground_truth"]),
-            script=tuple(dict(s) for s in data.get("script", [])),
-        )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise MalformedEntryError(f"task entry is malformed: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def run_benchmark(
     if suite not in pack.suites:
         raise ManifestError(f"pack has no suite named {suite!r}")
     config = pack.agent_config
-    backend = resolve_backend(DEFAULT_BACKEND_NAME)
+    backend = resolve_backend(DEFAULT_BACKEND)
 
     shared_memory = None
     if memory_enabled:

@@ -27,7 +27,7 @@ from .bench import (
     validate_pack,
     write_run_log,
 )
-from .embedding import resolve_backend
+from .embedding import DEFAULT_BACKEND, resolve_backend
 from .errors import PocketRagError
 from .planning import EffectReflector, HttpChatPlanner, ScriptedPlanner
 from .simulator import Scenario
@@ -37,8 +37,6 @@ from .web_search import FixtureSearchBackend, HttpSearchBackend
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_ERROR = 2
-
-DEFAULT_BACKEND = "hashed-token-384"
 
 
 def _load_config(path: str | None) -> dict:
@@ -99,7 +97,7 @@ def _cmd_index_build(args: argparse.Namespace, config: dict) -> int:
     backend = _resolve_embedder(config, args.backend)
     catalog = json.loads(Path(args.catalog).read_text(encoding="utf-8"))
     entries = catalog["apps"] if isinstance(catalog, dict) else catalog
-    threshold = args.threshold if args.threshold is not None else 0.5
+    threshold = _agent_config(config, {"tau_local": args.threshold}).tau_local
     index = AppIndex.build(
         [AppSeed.from_dict(e) for e in entries], backend, threshold=threshold
     )

@@ -40,6 +40,8 @@ import numpy as np
 from .errors import BackendFailureError, DimensionMismatchError, EmptyTextError
 
 DEFAULT_DIMENSION = 384
+# the reference embedder: benchmarks always use it, the CLI unless told otherwise
+DEFAULT_BACKEND = f"hashed-token-{DEFAULT_DIMENSION}"
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _TERMINAL_PUNCTUATION = ".!?…"
@@ -387,7 +389,7 @@ def write_json_atomic(path: str | Path, data) -> None:
 # --- backend registry -----------------------------------------------------
 
 _BACKEND_FACTORIES: dict[str, Callable[[], EmbedderBackend]] = {
-    f"hashed-token-{DEFAULT_DIMENSION}": lambda: HashedTokenEmbedder(DEFAULT_DIMENSION),
+    DEFAULT_BACKEND: lambda: HashedTokenEmbedder(DEFAULT_DIMENSION),
 }
 
 

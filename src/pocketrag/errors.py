@@ -34,8 +34,8 @@ class EmptyDescriptionError(PocketRagError):
 
 
 class MalformedEntryError(PocketRagError):
-    """A catalog entry, or an index- or memory-file entry, is missing a field
-    or holds an invalid value."""
+    """A catalog entry, a task file, or an index- or memory-file entry is
+    missing a field or holds an invalid value."""
 
 
 class ConflictingRecordError(PocketRagError):
@@ -87,7 +87,7 @@ class ScenarioMismatchError(PocketRagError):
 
 
 class PlannerFailureError(PocketRagError):
-    """A live planner backend failed after retries."""
+    """A live planner backend failed after retries, or a script entry is malformed."""
 
 
 class NoAppAnywhereError(PocketRagError):

@@ -23,6 +23,8 @@ DECISION_SELECT_APP = "select_app"
 DECISION_ACT = "act"
 DECISION_FINISH = "finish"
 
+HISTORY_WINDOW = 8  # latest steps shown to the planner
+
 
 @dataclass(frozen=True)
 class PlannerDecision:
@@ -130,35 +132,35 @@ class ScriptedPlanner:
 
     ``select_app`` entries may carry a ``pick`` (the package to confirm
     among retrieved candidates); without one, the top-ranked candidate is
-    picked.
+    picked. ``pick_app`` confirms the pick of the latest ``select_app``
+    that ``plan`` returned, or of the script's first one before that.
     """
 
     def __init__(self, script: Sequence[Mapping]) -> None:
         self._script = [dict(entry) for entry in script]
         self._cursor = 0
-        self._picks = [
-            entry.get("pick")
-            for entry in self._script
-            if entry.get("do") == DECISION_SELECT_APP
-        ]
-        self._pick_cursor = 0
+        selects = [e for e in self._script if e.get("do") == DECISION_SELECT_APP]
+        self._pick = selects[0].get("pick") if selects else None
 
     def plan(self, context: PlannerContext) -> PlannerDecision:
         if self._cursor >= len(self._script):
             return PlannerDecision.finish(False, "script exhausted")
         entry = self._script[self._cursor]
         self._cursor += 1
-        return decision_from_script(entry)
+        try:
+            decision = decision_from_script(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PlannerFailureError(
+                f"script entry {self._cursor - 1} is malformed: {exc!r}"
+            ) from exc
+        if decision.kind == DECISION_SELECT_APP:
+            self._pick = entry.get("pick")
+        return decision
 
     def pick_app(self, app_query: str, candidates: Sequence[AppMatch]) -> str:
-        pick = None
-        if self._pick_cursor < len(self._picks):
-            pick = self._picks[self._pick_cursor]
-        self._pick_cursor += 1
-        if pick:
-            for candidate in candidates:
-                if candidate.package_id == pick:
-                    return pick
+        for candidate in candidates:
+            if candidate.package_id == self._pick:
+                return self._pick
         return candidates[0].package_id
 
 
@@ -209,7 +211,7 @@ Pick the app best matching the request. Reply with exactly one JSON object:
 """
 
 
-def render_context_blocks(context: PlannerContext, history_window: int = 8) -> str:
+def render_context_blocks(context: PlannerContext) -> str:
     """Fixed block order: instruction, guidance, knowledge, candidates, screen, history."""
     blocks = [f"## Instruction\n{context.instruction}"]
     if context.memory_guidance:
@@ -230,7 +232,7 @@ def render_context_blocks(context: PlannerContext, history_window: int = 8) -> s
         f"(app: {context.screen.foreground_package})\n" + "\n".join(screen_lines)
     )
     if context.history:
-        recent = context.history[-history_window:]
+        recent = context.history[-HISTORY_WINDOW:]
         lines = []
         for entry in recent:
             line = f"- {entry.step.action.describe()} -> {entry.step.effect}"

@@ -349,51 +349,55 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping, base_dir: str | Path | None = None) -> "Scenario":
-        graphs = {}
-        for pid, graph_data in data.get("app_graphs", {}).items():
-            screens = {}
-            for screen_id, screen_data in graph_data["screens"].items():
-                elements = tuple(
-                    UiElement(
-                        element_id=e["element_id"],
-                        role=e["role"],
-                        text=e.get("text", ""),
-                        bounds=tuple(e.get("bounds", (0, 0, 100, 100))),
+        """Raises ScenarioError when a field is missing or has the wrong type."""
+        try:
+            graphs = {}
+            for pid, graph_data in data.get("app_graphs", {}).items():
+                screens = {}
+                for screen_id, screen_data in graph_data["screens"].items():
+                    elements = tuple(
+                        UiElement(
+                            element_id=e["element_id"],
+                            role=e["role"],
+                            text=e.get("text", ""),
+                            bounds=tuple(e.get("bounds", (0, 0, 100, 100))),
+                        )
+                        for e in screen_data.get("elements", [])
                     )
-                    for e in screen_data.get("elements", [])
-                )
-                transitions = {
-                    key: Transition(
-                        next_screen=t.get("next"),
-                        flags=tuple(sorted(t.get("flags", {}).items())),
+                    transitions = {
+                        key: Transition(
+                            next_screen=t.get("next"),
+                            flags=tuple(sorted(t.get("flags", {}).items())),
+                        )
+                        for key, t in screen_data.get("transitions", {}).items()
+                    }
+                    screens[screen_id] = ScreenDef(elements=elements, transitions=transitions)
+                graphs[pid] = AppGraph(entry=graph_data["entry"], screens=screens)
+
+            fixtures = data.get("search_fixtures", {})
+            if isinstance(fixtures, str):
+                if base_dir is None:
+                    raise ScenarioError(
+                        "search_fixtures is a file reference but no base directory given"
                     )
-                    for key, t in screen_data.get("transitions", {}).items()
-                }
-                screens[screen_id] = ScreenDef(elements=elements, transitions=transitions)
-            graphs[pid] = AppGraph(entry=graph_data["entry"], screens=screens)
+                fixture_path = Path(base_dir) / fixtures
+                fixtures = json.loads(fixture_path.read_text(encoding="utf-8"))
 
-        fixtures = data.get("search_fixtures", {})
-        if isinstance(fixtures, str):
-            if base_dir is None:
-                raise ScenarioError(
-                    "search_fixtures is a file reference but no base directory given"
-                )
-            fixture_path = Path(base_dir) / fixtures
-            fixtures = json.loads(fixture_path.read_text(encoding="utf-8"))
-
-        initial = data.get("initial", {})
-        scenario = cls(
-            scenario_id=data["scenario_id"],
-            installed_apps=[AppSeed.from_dict(s) for s in data.get("installed_apps", [])],
-            store_catalog=[AppSeed.from_dict(s) for s in data.get("store_catalog", [])],
-            app_graphs=graphs,
-            initial_flags=dict(initial.get("flags", {})),
-            search_fixtures={k: list(v) for k, v in fixtures.items()},
-        )
-        fg = initial.get("foreground", HOME_PACKAGE)
-        if fg != HOME_PACKAGE:
-            raise ScenarioError("only home-screen initial states are supported")
-        return scenario
+            initial = data.get("initial", {})
+            scenario = cls(
+                scenario_id=data["scenario_id"],
+                installed_apps=[AppSeed.from_dict(s) for s in data.get("installed_apps", [])],
+                store_catalog=[AppSeed.from_dict(s) for s in data.get("store_catalog", [])],
+                app_graphs=graphs,
+                initial_flags=dict(initial.get("flags", {})),
+                search_fixtures={k: list(v) for k, v in fixtures.items()},
+            )
+            fg = initial.get("foreground", HOME_PACKAGE)
+            if fg != HOME_PACKAGE:
+                raise ScenarioError("only home-screen initial states are supported")
+            return scenario
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ScenarioError(f"scenario is malformed: {exc!r}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
@@ -424,7 +428,6 @@ class Device:
         self._flags: dict[str, str] = dict(scenario.initial_flags)
         self._stopped = False
         self.history: list[ActionStep] = []
-        self.install_count = 0
 
     # --- observation ---
 
@@ -587,5 +590,4 @@ class Device:
             raise ScenarioError(f"store app {package_id} has no screen graph")
         seed = self._store[package_id]
         self._installed[package_id] = seed
-        self.install_count += 1
         return seed

@@ -282,7 +282,7 @@ class MemoryStore:
                     seq=int(entry.get("seq", 0)),
                 )
                 vector = EmbeddingVector(entry["embedding"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 query = entry.get("normalized_query") if isinstance(entry, dict) else None
                 raise MalformedEntryError(
                     f"memory file {str(path)!r}, record {position} ({query!r}): {exc!r}"

@@ -76,10 +76,10 @@ def formulate_query(instruction: str, unknown_entities: Sequence[str]) -> Search
     return SearchQuery(text=text, origin_instruction=trimmed, unknown_entities=entities)
 
 
-def _truncate_summary(summary: str, limit: int) -> str:
-    if len(summary) <= limit:
+def _truncate_summary(summary: str) -> str:
+    if len(summary) <= DEFAULT_SUMMARY_LIMIT:
         return summary
-    cut = summary[:limit]
+    cut = summary[:DEFAULT_SUMMARY_LIMIT]
     if " " in cut:
         cut = cut[: cut.rfind(" ")]
     return cut.rstrip()
@@ -94,7 +94,6 @@ def search(
     backend: SearchBackend,
     query: SearchQuery,
     k: int = DEFAULT_RESULT_CAP,
-    summary_limit: int = DEFAULT_SUMMARY_LIMIT,
 ) -> KnowledgeContext:
     """Fetch, dedupe by url, truncate summaries, cap at ``k``, renumber ranks.
 
@@ -115,7 +114,7 @@ def search(
             SearchResult(
                 rank=len(results) + 1,
                 title=str(hit.get("title", "")).strip(),
-                summary=_truncate_summary(str(hit.get("summary", "")).strip(), summary_limit),
+                summary=_truncate_summary(str(hit.get("summary", "")).strip()),
                 url=url,
             )
         )

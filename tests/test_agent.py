@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from pocketrag.agent import (
+    INSTALL_STEP_COST,
     AgentConfig,
     TaskRun,
     run_task,
@@ -244,7 +245,7 @@ def test_select_and_open_local_app_uses_one_step(backend):
     planner.plan  # planner cursor untouched; pick list already parsed
     result = select_and_open_app("alarm clock wake up", index, device, planner, CONFIG)
     assert result.package_id == "com.clock"
-    assert result.steps_used == 1
+    assert len(device.history) == 1
     assert not result.installed_from_store
     assert device.observe().foreground_package == "com.clock"
 
@@ -258,7 +259,7 @@ def test_select_and_open_store_app_costs_install(backend):
         "weather forecast rain sunny", index, device, planner, CONFIG
     )
     assert result.package_id == "com.weather"
-    assert result.steps_used == 1 + CONFIG.install_step_cost
+    assert len(device.history) == 1
     assert result.installed_from_store
 
 
@@ -336,7 +337,8 @@ def test_memory_first_invariant(backend):
 def test_run_is_deterministic(backend):
     left = run_alarm(backend)
     right = run_alarm(backend)
-    assert left.to_dict(include_events=True) == right.to_dict(include_events=True)
+    assert left.to_dict() == right.to_dict()
+    assert left.events == right.events
 
 
 def test_task_run_serialization_round_trip(backend):
@@ -358,23 +360,41 @@ def test_scenario_mismatch_detected(backend):
         )
 
 
-def test_reflect_on_noop_mode_only_reflects_noops(backend):
+def test_budget_charges_a_store_install(backend):
+    # launch (1 step) + install (INSTALL_STEP_COST) use up max_steps=2
     scenario, index, memory, search = build_world(backend)
     script = [
-        {"do": "select_app", "query": "alarm clock wake up", "pick": "com.clock"},
-        {"do": "act", "action": {"kind": "tap", "target": "alarms_tab"}},
-        {"do": "act", "action": {"kind": "tap", "target": "missing_element"}},
+        {"do": "select_app", "query": "weather forecast rain sunny", "pick": "com.weather"},
+        {"do": "act", "action": {"kind": "tap", "target": "forecast_tab"}},
         {"do": "finish", "success": True},
     ]
-    config = AgentConfig(tau_local=0.3, reflect_mode="on_noop")
+    config = AgentConfig(tau_local=0.3, max_steps=2, max_planner_calls=10)
     run = run_task(
-        "Tap around the clock app.", scenario, index, memory, search,
+        "Check the weather tomorrow.", scenario, index, memory, search,
         ScriptedPlanner(script), EffectReflector(), config,
     )
-    assert len(run.reflections) == 1
-    index_of_noop, verdict = run.reflections[0]
-    assert run.trace.steps[index_of_noop].effect == "no_op"
-    assert not verdict.ok
+    assert INSTALL_STEP_COST == 1
+    assert run.outcome == "budget_exhausted"
+    assert run.counters.installs == 1
+    assert [s.action.kind for s in run.trace.steps] == ["launch"]
+    assert run.counters.planner_calls == 1
+
+
+def test_a_failed_select_does_not_shift_later_picks(backend):
+    # the first select finds nothing anywhere, so its pick is never confirmed;
+    # the second select must still confirm its own pick
+    scenario, _, memory, search = build_world(backend)
+    index = AppIndex.build(scenario.installed_apps, backend, threshold=0.05)
+    script = [
+        {"do": "select_app", "query": "zebra xylophone quokka", "pick": "com.clock"},
+        {"do": "select_app", "query": "alarms notes reminders", "pick": "com.notes"},
+        {"do": "finish", "success": True},
+    ]
+    run = run_task(
+        "Open my notes.", scenario, index, memory, search,
+        ScriptedPlanner(script), EffectReflector(), AgentConfig(tau_local=0.05),
+    )
+    assert run.app_selections == (("alarms notes reminders", "com.notes"),)
 
 
 def test_store_index_is_built_once_per_scenario(backend, monkeypatch):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,3 +335,19 @@ def output_digest(out_dir: Path) -> str:
 def test_desk_outputs_are_pinned(tmp_path, suite, memory):
     run_benchmark(PACK_DIR, memory_enabled=memory, suite=suite, out_dir=tmp_path)
     assert output_digest(tmp_path) == DESK_OUTPUT_SHA256[suite, memory]
+
+
+def test_desk_pack_regenerates_byte_for_byte(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_desk_pack", "tools/make_desk_pack.py")
+    generator = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the generator prepends src/
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "PACK_DIR", tmp_path)
+    assert generator.main() == 0
+
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    shipped, regenerated = files(Path(PACK_DIR)), files(tmp_path)
+    assert sorted(regenerated) == sorted(shipped)
+    assert [name for name in sorted(shipped) if regenerated[name] != shipped[name]] == []

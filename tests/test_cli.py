@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from pocketrag.bench import BenchmarkTask
 from pocketrag.cli import main
+from pocketrag.errors import MalformedEntryError, PlannerFailureError, ScenarioError
+from pocketrag.planning import ScriptedPlanner
+from pocketrag.simulator import Scenario
+from pocketrag.task_memory import MemoryStore
 
 from conftest import ALARM_SCRIPT, PACK_DIR, mini_scenario_dict
 
@@ -212,14 +217,18 @@ def test_run_tau_local_flag_overrides_index_file(tmp_path, scenario_file, task_f
 
 
 def test_config_typo_exits_2(tmp_path, scenario_file, task_file, capsys):
+    # a typo, and the keys that are now constants of the agent
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"agent": {"tau_locl": 0.4}}))
-    code = main([
-        "--config", str(config), "run", "--scenario", str(scenario_file),
-        "--task", str(task_file),
-    ])
-    assert code == 2
-    assert "tau_locl" in capsys.readouterr().err
+    for key, value in [
+        ("tau_locl", 0.4), ("k_search", 10), ("install_step_cost", 1), ("reflect_mode", "always"),
+    ]:
+        config.write_text(json.dumps({"agent": {key: value}}))
+        code = main([
+            "--config", str(config), "run", "--scenario", str(scenario_file),
+            "--task", str(task_file),
+        ])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -297,3 +306,78 @@ def test_memory_ls_on_non_unit_vector_exits_2(tmp_path, scenario_file, task_file
     capsys.readouterr()
     assert main(["memory", "ls", "--store", str(memory_path)]) == 2
     assert "record 0" in capsys.readouterr().err
+
+
+def test_index_build_threshold_follows_config(tmp_path, catalog_file):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"agent": {"tau_local": 0.35}}))
+    index_path = tmp_path / "idx.json"
+    build = ["--config", str(config), "index", "build", "--catalog", str(catalog_file),
+             "--out", str(index_path)]
+    assert main(build) == 0
+    assert json.loads(index_path.read_text())["threshold"] == 0.35
+    assert main(build + ["--threshold", "0.6"]) == 0
+    assert json.loads(index_path.read_text())["threshold"] == 0.6
+
+
+def test_memory_ls_on_malformed_flag_changes_exits_2(tmp_path, scenario_file, task_file, capsys):
+    memory_path = tmp_path / "memory.json"
+    main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
+          "--memory", str(memory_path), "--tau-local", "0.3"])
+    data = json.loads(memory_path.read_text())
+    data["records"][0]["trace"][0]["flag_changes"] = [1, 2]
+    memory_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    with pytest.raises(MalformedEntryError, match="record 0"):
+        MemoryStore.load(memory_path)
+    assert main(["memory", "ls", "--store", str(memory_path)]) == 2
+    assert "record 0" in capsys.readouterr().err
+
+
+def _drop_scenario_id(data):
+    del data["scenario_id"]
+
+
+def _drop_first_screens(data):
+    del data["app_graphs"]["com.clock"]["screens"]
+
+
+@pytest.mark.parametrize(
+    "tamper", [_drop_scenario_id, _drop_first_screens], ids=["no-scenario-id", "no-screens"]
+)
+def test_run_on_malformed_scenario_exits_2(tmp_path, task_file, capsys, tamper):
+    data = mini_scenario_dict()
+    tamper(data)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError):
+        Scenario.from_file(scenario_path)
+    assert main(["run", "--scenario", str(scenario_path), "--task", str(task_file)]) == 2
+    assert "scenario is malformed" in capsys.readouterr().err
+
+
+def test_run_on_task_without_tier_exits_2(tmp_path, scenario_file, task_file, capsys):
+    task = json.loads(task_file.read_text())
+    del task["tier"]
+    task_file.write_text(json.dumps(task))
+    with pytest.raises(MalformedEntryError):
+        BenchmarkTask.from_dict(task)
+    assert main(["run", "--scenario", str(scenario_file), "--task", str(task_file)]) == 2
+    assert "'tier'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"do": "fly"}, {"do": "act", "action": {"kind": "tap"}}],
+    ids=["unknown-step", "act-without-target"],
+)
+def test_run_on_malformed_script_entry_exits_2(tmp_path, scenario_file, task_file, capsys, entry):
+    task = json.loads(task_file.read_text())
+    task["script"] = [entry]
+    task_file.write_text(json.dumps(task))
+    with pytest.raises(PlannerFailureError, match="script entry 0"):
+        ScriptedPlanner([entry]).plan(None)
+    code = main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
+                 "--tau-local", "0.3"])
+    assert code == 2
+    assert "script entry 0 is malformed" in capsys.readouterr().err

@@ -150,7 +150,7 @@ def test_install_from_store(mini_scenario):
     device = Device(mini_scenario)
     seed = device.install_from_store("com.weather")
     assert seed.package_id == "com.weather"
-    assert device.install_count == 1
+    assert device.installed_packages == ["com.clock", "com.notes", "com.weather"]
     step = device.execute(Action.launch("com.weather"))
     assert step.effect == "transitioned"
     # new icon appears on home
@@ -168,7 +168,7 @@ def test_install_already_installed_is_warning_not_error(mini_scenario, caplog):
     device = Device(mini_scenario)
     seed = device.install_from_store("com.clock")
     assert seed.package_id == "com.clock"
-    assert device.install_count == 0
+    assert device.installed_packages == ["com.clock", "com.notes"]
 
 
 def test_alarm_scripted_sequence_sets_flag(mini_scenario):

@@ -6,6 +6,7 @@ import pytest
 
 from pocketrag.errors import BackendUnavailableError
 from pocketrag.web_search import (
+    DEFAULT_SUMMARY_LIMIT,
     FixtureSearchBackend,
     HttpSearchBackend,
     SearchQuery,
@@ -79,9 +80,9 @@ def test_search_zero_hits_is_not_an_error():
 def test_summary_truncated_at_word_boundary():
     long_summary = "word " * 200
     hits = [{"title": "T", "summary": long_summary.strip(), "url": "https://u.example/x"}]
-    context = search(ListBackend(hits), SearchQuery("q", "q"), summary_limit=50)
+    context = search(ListBackend(hits), SearchQuery("q", "q"))
     summary = context.results[0].summary
-    assert len(summary) <= 50
+    assert len(long_summary.strip()) > DEFAULT_SUMMARY_LIMIT >= len(summary)
     assert not summary.endswith(" ")
     assert summary.split(" ")[-1] == "word"
 

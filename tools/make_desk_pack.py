@@ -1277,11 +1277,8 @@ AGENT_CONFIG = {
     "tau_local": 0.35,
     "tau_mem": 0.8,
     "k_apps": 3,
-    "k_search": 10,
     "max_steps": 40,
     "max_planner_calls": 40,
-    "install_step_cost": 1,
-    "reflect_mode": "always",
 }
 
 
