@@ -24,7 +24,7 @@ from .embedding import (
     EmbedderBackend,
     EmbeddingVector,
     VectorRows,
-    embed,
+    embed,  # unused here, but kept: perfbench's tracer wraps ``app_index.embed``
     embed_row,
     resolve_backend,
     tokenize,
@@ -228,14 +228,11 @@ class AppIndex:
     def retrieve(self, query: str, k: int = 3) -> RetrievalOutcome:
         """Score every record against ``query`` and return the top ``k``.
 
-        Returns a rejection outcome when the best score is below the
-        threshold (or the index is empty). Ranking compares scores rounded
-        to 9 decimals, so mathematically tied scores fall through to the
-        ascending package-id tie-break no matter how the floating-point
-        sums were ordered; results are stable across BLAS implementations.
-        Each reported score is one 1-D dot product, so it does not depend
-        on where the record's vector sits in the store; the top match's
-        score is the one tested against the threshold.
+        Ranks as ``VectorRows.search`` does: by each record's 1-D dot
+        product rounded to 9 decimals, then by ascending package id, so
+        the result does not depend on the BLAS or on where a vector sits.
+        Returns a rejection outcome when the top score is below the
+        threshold (or the index is empty).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -243,7 +240,7 @@ class AppIndex:
             raise EmptyQueryError("query is empty")
         if not self._records:
             return RetrievalOutcome(matches=(), best_score=None)
-        hits = self._rows.search(embed(self.backend, query).values, k)
+        hits = self._rows.search(embed_row(self.backend, query), k)
         best = hits[0][1]
         if best < self.threshold:
             return RetrievalOutcome(matches=(), best_score=best)

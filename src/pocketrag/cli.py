@@ -263,6 +263,18 @@ def _cmd_pack_validate(args: argparse.Namespace, config: dict) -> int:
     return EXIT_ERROR
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+def _fraction(text: str) -> float:
+    if not 0.0 <= float(text) < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pocketrag")
     parser.add_argument("--config", help="JSON config file")
@@ -279,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = index_sub.add_parser("query")
     p_query.add_argument("--index", required=True)
     p_query.add_argument("--q", required=True)
-    p_query.add_argument("-k", type=int, default=3)
+    p_query.add_argument("-k", type=_positive_int, default=3)
     p_query.add_argument("--backend")
     p_query.set_defaults(func=_cmd_index_query)
 
@@ -317,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_sub = p_corpus.add_subparsers(dest="corpus_cmd", required=True)
     p_generate = corpus_sub.add_parser("generate")
     p_generate.add_argument("--catalog", required=True)
-    p_generate.add_argument("--per-app", dest="per_app", type=int, required=True)
-    p_generate.add_argument("--none", type=float, default=0.0)
+    p_generate.add_argument("--per-app", dest="per_app", type=_positive_int, required=True)
+    p_generate.add_argument("--none", type=_fraction, default=0.0)
     p_generate.add_argument("--out", required=True)
     p_generate.add_argument("--seed", type=int, default=0)
     p_generate.set_defaults(func=_cmd_corpus)

@@ -262,8 +262,8 @@ def parse_decision_response(text: str) -> PlannerDecision:
         return PlannerDecision.select_app(query)
     if kind == DECISION_ACT:
         action_data = data.get("action")
-        if not isinstance(action_data, dict):
-            raise ValueError("act requires an action object")
+        if not isinstance(action_data, dict) or "kind" not in action_data:
+            raise ValueError("act requires an action object with a kind")
         return PlannerDecision.act(Action.from_dict(action_data))
     if kind == DECISION_FINISH:
         return PlannerDecision.finish(

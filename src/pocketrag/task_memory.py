@@ -25,7 +25,8 @@ from .embedding import (
     EmbedderBackend,
     EmbeddingVector,
     VectorRows,
-    embed,
+    embed,  # unused here, but kept: perfbench's tracer wraps ``task_memory.embed``
+    embed_row,
     normalize_text,
     resolve_backend,
     write_json_atomic,
@@ -139,10 +140,6 @@ class MemoryStore:
         self._records: dict[str, MemoryRecord] = {}
         self._rows = VectorRows(self.backend.dimension)
 
-    def _add(self, record: MemoryRecord, vector: EmbeddingVector) -> None:
-        self._records[record.normalized_query] = record
-        self._rows.add(record.normalized_query, vector.values)
-
     def lookup(self, query: str) -> MemoryMatch:
         """Route a query: exact key match, best similar >= threshold, or none."""
         if not query.strip():
@@ -153,9 +150,7 @@ class MemoryStore:
             return MemoryMatch(kind=MATCH_EXACT, record=record)
         if not self._records:
             return MemoryMatch(kind=MATCH_NONE)
-        # rounded ranking keeps the tie-break (smallest key) independent of
-        # floating-point summation order
-        ((best, score),) = self._rows.search(embed(self.backend, query).values, 1)
+        ((best, score),) = self._rows.search(embed_row(self.backend, query), 1)
         if score >= self.threshold:
             return MemoryMatch(
                 kind=MATCH_SIMILAR,
@@ -187,9 +182,8 @@ class MemoryStore:
                 success_count=existing.success_count + 1,
                 seq=existing.seq,
             )
-            self._records[key] = record
         else:
-            vector = embed(self.backend, query)
+            row = embed_row(self.backend, query)
             record = MemoryRecord(
                 query_text=query,
                 normalized_query=key,
@@ -199,7 +193,8 @@ class MemoryStore:
                 seq=self._next_seq,
             )
             self._next_seq += 1
-            self._add(record, vector)
+            self._rows.add(key, row)
+        self._records[key] = record
         self._evict_overflow()
         return record
 
@@ -296,7 +291,8 @@ class MemoryStore:
                     f"memory record {record.normalized_query!r} has dimension "
                     f"{vector.dimension}, backend produces {backend.dimension}"
                 )
-            store._add(record, vector)
+            store._records[record.normalized_query] = record
+            store._rows.add(record.normalized_query, vector.values)
             max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
         return store

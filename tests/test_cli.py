@@ -381,3 +381,27 @@ def test_run_on_malformed_script_entry_exits_2(tmp_path, scenario_file, task_fil
                  "--tau-local", "0.3"])
     assert code == 2
     assert "script entry 0 is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "query", "--index", "{index}", "--q", "music", "-k", "0"],
+        ["corpus", "generate", "--catalog", "{catalog}", "--per-app", "0", "--out", "{out}"],
+        ["corpus", "generate", "--catalog", "{catalog}", "--per-app", "1", "--none", "1.0",
+         "--out", "{out}"],
+    ],
+    ids=["k-0", "per-app-0", "none-1.0"],
+)
+def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
+    catalog_path = tmp_path / "apps.json"
+    catalog_path.write_text(json.dumps(CATALOG[:2]))
+    index_path = tmp_path / "idx.json"
+    assert main(["index", "build", "--catalog", str(catalog_path), "--out", str(index_path)]) == 0
+    paths = {"index": index_path, "catalog": catalog_path, "out": tmp_path / "corpus.jsonl"}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(**paths) for arg in argv])
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not paths["out"].exists()

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocketrag import embedding
-from pocketrag.embedding import VectorRows, top_k
+from pocketrag.embedding import EmbeddingVector, VectorRows, top_k
 
 # offsets that force exact ties, ties after rounding to 9 decimals, and
 # scores just outside the partition's 1e-8 candidate margin
@@ -60,6 +60,23 @@ def test_top_k_ranks_near_ties_as_ties():
     keys = ["z", "y", "a", "b", "c", "d", "e", "f", "g", "h"]
     assert [keys[i] for i in top_k(scores, keys, 1)] == ["y"]
     assert [keys[i] for i in top_k(scores, keys, 2)] == ["y", "z"]
+
+
+def test_top_k_rescores_only_near_a_rounding_boundary():
+    # "a" was scanned just above the boundary 0.1234567895 and ties "b" after
+    # rounding, but its exact value lies just below it, so "b" ranks first
+    scores = np.array([0.12345678950000001, 0.12345679, 0.1, 0.1, 0.1])
+    exact = {0: 0.12345678949999998, 1: 0.12345679}
+    keys = ["a", "b", "c", "d", "e"]
+    rescored = []
+
+    def rescore(i):
+        rescored.append(i)
+        return exact[i]
+
+    assert top_k(scores, keys, 1) == [0]
+    assert top_k(scores, keys, 1, rescore, 1e-13) == [1]
+    assert rescored == [0]
 
 
 def test_top_k_with_k_above_n_returns_all():
@@ -196,6 +213,102 @@ def test_store_behaves_as_a_dict_with_a_full_sort(ops):
                 rows.remove(key)
             else:
                 query = unit(op[1])
+                assert rows.search(query, op[2]) == oracle_search(mirror, query, op[2])
+            assert_store_matches(rows, mirror)
+    finally:
+        embedding._BLOCK_ROWS = original
+
+
+# d = 64, so a query with at most 64 // 8 non-zeros takes the sparse scan of
+# a transposed block and a denser one the dense scan
+D = 64
+
+
+@st.composite
+def unit_pairs(draw):
+    """A unit vector of dimension ``D`` as (coordinate, value) pairs."""
+    count = draw(st.one_of(st.integers(1, D // 8), st.integers(D // 8 + 1, D)))
+    coordinates = draw(
+        st.lists(st.integers(0, D - 1), min_size=count, max_size=count, unique=True)
+    )
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([1.0, -1.0, 2.0]), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)
+            ),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    raw = np.zeros(D)
+    raw[coordinates] = values
+    unit = EmbeddingVector.from_raw(raw).values
+    return tuple((c, float(unit[c])) for c in coordinates)
+
+
+def dense(pairs):
+    vector = np.zeros(D)
+    for coordinate, value in pairs:
+        vector[coordinate] = value
+    return vector
+
+
+sparse_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 12), unit_pairs()),
+        st.tuples(st.just("remove"), st.integers(0, 12)),
+        st.tuples(st.just("search"), unit_pairs(), st.integers(1, 6)),
+    ),
+    max_size=60,
+)
+
+# The sparse scan scores BOUNDARY_ROW 0.8929615775000000 and the 1-D dot
+# 0.8929615774999999 (with the OpenBLAS this was found on), either side of a
+# 9th-decimal rounding boundary; NEXT_ROW scores 0.8929615778. Ranked by the
+# scan, "k00" ties "k01" and wins on its key; the oracle ranks "k01" first.
+BOUNDARY_QUERY = ((3, 0.22254591446362376), (27, -0.5622212575923126), (39, 0.796480114922443))
+BOUNDARY_ROW = (
+    (3, 0.447885669225491),
+    (27, -0.6147450371849154),
+    (39, 0.5620526054262084),
+    (41, 0.3249366625120267),
+)
+NEXT_ROW = ((3, 0.4478856705735274),) + BOUNDARY_ROW[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_operations)
+@example(
+    [
+        ("add", 0, BOUNDARY_ROW),
+        ("add", 1, NEXT_ROW),
+        ("add", 2, ((63, 1.0),)),
+        ("add", 3, ((62, 1.0),)),  # fills the block, which transposes
+        ("search", BOUNDARY_QUERY, 1),
+    ]
+)
+def test_search_ranks_by_the_rounded_1d_dot(ops):
+    # blocks of 4 rows, so adds and swap-removes cross the transposition
+    original = embedding._BLOCK_ROWS
+    embedding._BLOCK_ROWS = 4
+    try:
+        rows = VectorRows(D)
+        mirror = {}
+        for op in ops:
+            if op[0] == "add":
+                key = f"k{op[1]:02d}"
+                if key in mirror:
+                    continue
+                mirror[key] = dense(op[2])
+                rows.add(key, mirror[key])
+            elif op[0] == "remove":
+                key = f"k{op[1]:02d}"
+                if key not in mirror:
+                    continue
+                del mirror[key]
+                rows.remove(key)
+            else:
+                query = dense(op[1])
                 assert rows.search(query, op[2]) == oracle_search(mirror, query, op[2])
             assert_store_matches(rows, mirror)
     finally:

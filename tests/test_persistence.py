@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pocketrag
 from pocketrag.app_index import AppIndex, AppSeed
-from pocketrag.embedding import HashedTokenEmbedder
+from pocketrag import embedding
+from pocketrag.embedding import HashedTokenEmbedder, embed_row
 from pocketrag.task_memory import MemoryStore
 
 from test_app_index import VOCAB
@@ -75,6 +77,32 @@ def test_memory_round_trip_keeps_bytes_and_routes(tmp_path):
         assert (left.record and left.record.normalized_query) == (
             right.record and right.record.normalized_query
         )
+
+
+def test_transposed_blocks_save_each_vector_as_embedded(tmp_path):
+    """Stores that fill a block, which then transposes, write the same floats.
+
+    The memory's capacity evicts its two oldest records from the transposed
+    block, so the last vectors are moved into its columns.
+    """
+    backend = HashedTokenEmbedder()
+    count = embedding._BLOCK_ROWS + 3
+    texts = [f"remember task {i} {VOCAB[i % len(VOCAB)]}" for i in range(count)]
+    counter = itertools.count(1)
+    memory = MemoryStore(backend, capacity=count - 2, clock=lambda: float(next(counter)))
+    for text in texts:
+        memory.commit(text, make_trace())
+    seeds = [AppSeed(f"App{i}", f"com.app{i:04d}", text) for i, text in enumerate(texts)]
+    index = AppIndex.build(seeds, backend, threshold=0.4)
+    assert (len(memory), memory._rows._frozen, index._rows._frozen) == (count - 2, 1, 1)
+    for store, field, text in ((memory, "records", "query"), (index, "apps", "description")):
+        store.save(tmp_path / "a.json")
+        entries = json.loads((tmp_path / "a.json").read_text())[field]
+        assert len(entries) == len(store)
+        for entry in entries:
+            assert entry["embedding"] == embed_row(backend, entry[text]).tolist()
+        type(store).load(tmp_path / "a.json").save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_load_threshold_override(tmp_path):

@@ -151,6 +151,22 @@ def test_http_planner_retries_then_succeeds():
     assert decision.kind == "select_app"
 
 
+def test_http_planner_retries_an_action_without_a_kind():
+    reply = '{"decision": "act", "action": {}}'
+    with pytest.raises(ValueError, match="kind"):
+        parse_decision_response(reply)
+    responses = iter([reply, '{"decision": "select_app", "query": "maps"}'])
+    prompts = []
+
+    def transport(payload):
+        prompts.append(payload["messages"][1]["content"])
+        return next(responses)
+
+    planner = HttpChatPlanner("https://llm.example", "m", transport=transport)
+    assert planner.plan(make_context()).kind == "select_app"
+    assert len(prompts) == 2 and "## Parse error" in prompts[1]
+
+
 def test_http_planner_fails_after_retries():
     def transport(payload):
         return "never valid"
