@@ -17,9 +17,9 @@ the hashing trick itself follows Weinberger et al., "Feature Hashing for
 Large Scale Multitask Learning" (arXiv:0902.2206).
 
 ``VectorRows``, the one keyed vector store of the app index and the
-memory, keeps full blocks transposed, so a sparse query (5-8 non-zeros of
-384 from the reference embedder) reads only its own coordinates, as an
-inverted file does (Zobel and Moffat, ACM Computing Surveys 2006). Hits
+memory, keeps full blocks transposed, so a query reads only its own
+non-zero coordinates of them (5-8 of 384 from the reference embedder), as
+an inverted file does (Zobel and Moffat, ACM Computing Surveys 2006). Hits
 are ranked and reported exactly, by 1-D dot products.
 """
 
@@ -275,30 +275,34 @@ class VectorRows:
 
     A block is row-major (rows × dimension) while it fills; the add that
     fills it replaces it by its contiguous transpose (dimension × rows). The
-    first ``_frozen`` blocks are transposed, even when removals empty them.
-    Removing a key moves the last vector into its slot, and a ``vector``
-    view is valid only until the next ``add`` or ``remove``.
+    first ``_transposed`` blocks are transposed, even when removals empty
+    them. Removing a key moves the last vector into its slot. A ``vector``
+    view is valid only until the next ``add`` or ``remove``: the filling
+    add copies its block, so an older view no longer sees later writes.
 
-    ``search`` scans a transposed block as ``query[nz] @ block[nz]`` when the
-    query has at most ``dimension // 8`` non-zeros ``nz``, else as ``query @
-    block``, and the row-major block as ``block @ query``. Any order of a
-    d-term dot product is within γ_d·|q|·|v| of the exact sum, γ_d =
-    d·u/(1−d·u), u = 2^-53 (Higham, "Accuracy and Stability of Numerical
-    Algorithms", §3.1), and ``embed_row`` keeps |q|, |v| ≤ 1 + 1e-6. So a
-    scan score is within ε = 2·γ_d·(1 + 1e-6)² (8.5e-14 at d = 384) of the
-    reported 1-D dot; ``top_k`` re-scores only candidates that close (plus
-    2^-52) to a rounding boundary, as FAISS re-ranks a coarse scan (Douze
-    et al., arXiv:2401.08281).
+    ``search`` scans a transposed block as ``query[nz] @ block[nz]`` over
+    the query's non-zero coordinates ``nz``, and the row-major block as
+    ``block @ query``. Any order of a d-term dot product is within
+    γ_d·|q|·|v| of the exact sum, γ_d = d·u/(1−d·u), u = 2^-53 (Higham,
+    "Accuracy and Stability of Numerical Algorithms", §3.1), and
+    ``embed_row`` keeps |q|, |v| ≤ 1 + 1e-6. So a scan score is within
+    ε = 2·γ_d·(1 + 1e-6)² (8.5e-14 at d = 384) of the reported 1-D dot, and
+    only a scan score within ε of a rounding boundary (m + 0.5)·1e-9 can
+    round to another 9th decimal. ``search`` flags them as the scores s
+    with |s·1e9 − rint(s·1e9)| ≥ 0.5 − 1e9·(ε + 2^-52), where 2^-52 covers
+    the rounding of s·1e9 for |s| < 2, and replaces just those by the 1-D
+    dot before ``top_k`` ranks, as FAISS re-ranks a coarse scan (Douze et
+    al., arXiv:2401.08281).
     """
 
     def __init__(self, dimension: int) -> None:
         self.dimension = dimension
         self._blocks: list[np.ndarray] = []
-        self._frozen = 0  # the leading blocks that are transposed
+        self._transposed = 0  # the leading blocks that are transposed
         self._keys: list[str] = []  # the key of each row
         self._row_of: dict[str, int] = {}
         gamma = dimension * 2.0**-53 / (1.0 - dimension * 2.0**-53)
-        self._epsilon = 2.0 * gamma * (1.0 + 1e-6) ** 2 + 2.0**-52
+        self._margin = 1e9 * (2.0 * gamma * (1.0 + 1e-6) ** 2 + 2.0**-52)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -310,13 +314,13 @@ class VectorRows:
         block, offset = divmod(len(self._keys), _BLOCK_ROWS)
         if block == len(self._blocks):
             self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-        if block < self._frozen:
+        if block < self._transposed:
             self._blocks[block][:, offset] = vector
         else:  # the open block, which transposes once full
             self._blocks[block][offset] = vector
             if offset == _BLOCK_ROWS - 1:
                 self._blocks[block] = np.ascontiguousarray(self._blocks[block].T)
-                self._frozen += 1
+                self._transposed += 1
         self._row_of[key] = len(self._keys)
         self._keys.append(key)
 
@@ -336,9 +340,12 @@ class VectorRows:
 
     def _row(self, row: int) -> np.ndarray:
         block, offset = divmod(row, _BLOCK_ROWS)
-        if block < self._frozen:
+        if block < self._transposed:
             return self._blocks[block][:, offset]
         return self._blocks[block][offset]
+
+    def _dot(self, query: np.ndarray, row: int) -> float:
+        return float(query @ np.ascontiguousarray(self._row(row)))
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """The ``k`` best keys for ``query`` with their 1-D dot products, ranked
@@ -346,27 +353,22 @@ class VectorRows:
         n = len(self._keys)
         if not n:
             return []
-        nonzero = np.flatnonzero(query) if self._frozen else ()
-        sparse = 0 < len(nonzero) <= self.dimension // 8
+        nonzero = np.flatnonzero(query) if self._transposed else None
         parts = []
         for index, block in enumerate(self._blocks[: -(-n // _BLOCK_ROWS)]):
-            if index >= self._frozen:
-                parts.append(block[: n - index * _BLOCK_ROWS] @ query)
-            elif sparse:
+            if index < self._transposed:
                 parts.append(query[nonzero] @ block.take(nonzero, axis=0))
             else:
-                parts.append(query @ block)
+                parts.append(block[: n - index * _BLOCK_ROWS] @ query)
         scores = parts[0][:n] if len(parts) == 1 else np.concatenate(parts)[:n]
+        scaled = scores * 1e9
+        scaled -= np.rint(scaled)
+        for row in np.flatnonzero(np.abs(scaled) >= 0.5 - self._margin).tolist():
+            scores[row] = self._dot(query, row)
+        return [(self._keys[row], self._dot(query, row)) for row in top_k(scores, self._keys, k)]
 
-        def exact(row: int) -> float:
-            return float(query @ np.ascontiguousarray(self._row(row)))
 
-        ranked = top_k(scores, self._keys, k, exact, self._epsilon)
-        return [(self._keys[row], exact(row)) for row in ranked]
-
-
-def top_k(scores: np.ndarray, keys: Sequence[str], k: int,
-          exact: Callable[[int], float] | None = None, epsilon: float = 0.0) -> list[int]:
+def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
     """Positions of the ``k`` best scores: rounded score descending, then key.
 
     Equals ``sorted(range(n), key=lambda i: (-round(float(scores[i]), 9),
@@ -374,9 +376,6 @@ def top_k(scores: np.ndarray, keys: Sequence[str], k: int,
     5e-10, so a score more than 1e-8 below the k-th largest raw score can
     never reach the top k; ``np.partition`` (``max`` when k is 1) finds
     that bound in linear time and only the scores above it are sorted.
-    With ``exact``, the ranking is by ``exact(i)``, within ``epsilon`` of
-    ``scores[i]``: only candidates that close to a boundary (m + 0.5)·1e-9
-    may round unlike their score, so only those are re-scored.
     """
     n = len(scores)
     if n > 4 * k:
@@ -384,16 +383,7 @@ def top_k(scores: np.ndarray, keys: Sequence[str], k: int,
         candidates = np.flatnonzero(scores >= kth - 1e-8).tolist()
     else:
         candidates = range(n)
-
-    def key(i: int) -> tuple[float, str]:
-        score = float(scores[i])
-        value = round(score, 9)
-        # on a rounding boundary |score - value| is 5e-10
-        if exact is not None and value != score and abs(abs(score - value) - 5e-10) <= epsilon:
-            value = round(exact(i), 9)
-        return -value, keys[i]
-
-    return sorted(candidates, key=key)[:k]
+    return sorted(candidates, key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
 
 
 def write_json_atomic(path: str | Path, data) -> None:

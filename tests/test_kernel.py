@@ -62,23 +62,6 @@ def test_top_k_ranks_near_ties_as_ties():
     assert [keys[i] for i in top_k(scores, keys, 2)] == ["y", "z"]
 
 
-def test_top_k_rescores_only_near_a_rounding_boundary():
-    # "a" was scanned just above the boundary 0.1234567895 and ties "b" after
-    # rounding, but its exact value lies just below it, so "b" ranks first
-    scores = np.array([0.12345678950000001, 0.12345679, 0.1, 0.1, 0.1])
-    exact = {0: 0.12345678949999998, 1: 0.12345679}
-    keys = ["a", "b", "c", "d", "e"]
-    rescored = []
-
-    def rescore(i):
-        rescored.append(i)
-        return exact[i]
-
-    assert top_k(scores, keys, 1) == [0]
-    assert top_k(scores, keys, 1, rescore, 1e-13) == [1]
-    assert rescored == [0]
-
-
 def test_top_k_with_k_above_n_returns_all():
     scores = np.array([0.2, 0.8, 0.5])
     assert top_k(scores, ["a", "b", "c"], 10) == [1, 2, 0]
@@ -128,6 +111,18 @@ def test_rows_growth_never_moves_stored_rows():
     first = rows.vector("key00000")
     rows.add("extra", np.ones(4))  # opens the second block
     assert np.shares_memory(first, rows.vector("key00000"))
+
+
+def test_vector_view_lasts_until_the_next_add_or_remove():
+    # the add that fills a block replaces it by its transpose, so a view
+    # taken before that add keeps the old copy and misses later moves
+    rows, mirror = rows_and_mirror(BLOCK - 1)
+    stale = rows.vector("key00000")
+    rows.add("fill", np.ones(4))  # fills the first block
+    assert not np.shares_memory(stale, rows.vector("key00000"))
+    rows.remove("key00000")  # moves "fill" into row 0
+    assert np.array_equal(rows.vector("fill"), np.ones(4))
+    assert np.array_equal(stale, mirror["key00000"])
 
 
 @pytest.mark.parametrize(
@@ -219,8 +214,8 @@ def test_store_behaves_as_a_dict_with_a_full_sort(ops):
         embedding._BLOCK_ROWS = original
 
 
-# d = 64, so a query with at most 64 // 8 non-zeros takes the sparse scan of
-# a transposed block and a denser one the dense scan
+# d = 64; rows and queries hold from one to all 64 non-zeros, so a scan of
+# a transposed block reads from one coordinate to every one
 D = 64
 
 
@@ -313,3 +308,23 @@ def test_search_ranks_by_the_rounded_1d_dot(ops):
             assert_store_matches(rows, mirror)
     finally:
         embedding._BLOCK_ROWS = original
+
+
+def test_search_rescores_only_near_a_rounding_boundary(monkeypatch):
+    monkeypatch.setattr(embedding, "_BLOCK_ROWS", 4)
+    dotted = []
+    dot = VectorRows._dot
+
+    def counted(self, query, row):
+        dotted.append(row)
+        return dot(self, query, row)
+
+    monkeypatch.setattr(VectorRows, "_dot", counted)
+    rows = VectorRows(D)
+    for i, pairs in enumerate((BOUNDARY_ROW, NEXT_ROW, ((63, 1.0),), ((62, 1.0),))):
+        rows.add(f"k{i:02d}", dense(pairs))
+    assert [key for key, _ in rows.search(dense(BOUNDARY_QUERY), 1)] == ["k01"]
+    assert dotted == [0, 1]  # the boundary row's re-score, then the reported hit
+    dotted.clear()
+    assert [key for key, _ in rows.search(dense(((63, 1.0),)), 1)] == ["k02"]
+    assert dotted == [2]

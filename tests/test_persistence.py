@@ -94,7 +94,7 @@ def test_transposed_blocks_save_each_vector_as_embedded(tmp_path):
         memory.commit(text, make_trace())
     seeds = [AppSeed(f"App{i}", f"com.app{i:04d}", text) for i, text in enumerate(texts)]
     index = AppIndex.build(seeds, backend, threshold=0.4)
-    assert (len(memory), memory._rows._frozen, index._rows._frozen) == (count - 2, 1, 1)
+    assert (len(memory), memory._rows._transposed, index._rows._transposed) == (count - 2, 1, 1)
     for store, field, text in ((memory, "records", "query"), (index, "apps", "description")):
         store.save(tmp_path / "a.json")
         entries = json.loads((tmp_path / "a.json").read_text())[field]
