@@ -10,15 +10,25 @@ entry is checked before any is stored, and the ``AppRecord`` that ``get``,
 ``embedding`` copied from the store. The module also generates the
 contrastive training corpus (query, positive, negatives) used to fine-tune
 a real retrieval model offline.
+
+An app's description does not change between builds, so its unit row is
+memoised process-wide (``_description_row``, an LRU of 4,096 rows, at most
+~13 MB at d = 384), keyed on ``(backend, description)``: equal backends
+share rows (``HashedTokenEmbedder``s of one dimension), any other backend
+only its own. Builds, ``register`` and store indexes embed a description
+only the first time it is seen; errors are raised again, never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+
+import numpy as np
 
 from .embedding import (
     EmbedderBackend,
@@ -45,6 +55,7 @@ NEGATIVES_PER_EXAMPLE = 3
 
 SOURCE_PREINSTALLED = "preinstalled"
 SOURCE_STORE = "store_installed"
+SOURCE_CATALOG = "store_catalog"  # in the store's index, not installed
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,8 @@ class AppIndex:
         """
         index = cls(backend, threshold)
         seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
-        index._insert([_Entry(seed, installed, SOURCE_PREINSTALLED) for seed in seeds])
+        source = SOURCE_PREINSTALLED if installed else SOURCE_CATALOG
+        index._insert([_Entry(seed, installed, source) for seed in seeds])
         return index
 
     def _insert(
@@ -172,7 +184,7 @@ class AppIndex:
         for position, entry in enumerate(entries):
             seed = entry.seed
             if vectors is None:
-                vector = embed_row(self.backend, seed.description)
+                vector = _description_row(self.backend, seed.description)
             elif vectors[position].dimension != self.backend.dimension:
                 raise DimensionMismatchError(
                     f"record {seed.package_id} has dimension "
@@ -323,7 +335,7 @@ class AppIndex:
                 seed = AppSeed(entry["name"], entry["package_id"], entry["description"])
                 vector = EmbeddingVector(entry["embedding"])
                 installed = bool(entry.get("installed", True))
-                source = entry.get("source", SOURCE_PREINSTALLED)
+                source = entry.get("source", SOURCE_PREINSTALLED if installed else SOURCE_CATALOG)
             except (KeyError, TypeError, ValueError) as exc:
                 pid = entry.get("package_id") if isinstance(entry, dict) else None
                 raise MalformedEntryError(
@@ -333,6 +345,14 @@ class AppIndex:
             vectors.append(vector)
         index._insert(apps, vectors)
         return index
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _description_row(backend: EmbedderBackend, description: str) -> np.ndarray:
+    """The read-only ``embed_row`` of an app description (see the module docstring)."""
+    row = embed_row(backend, description)
+    row.flags.writeable = False
+    return row
 
 
 # --- training corpus --------------------------------------------------------

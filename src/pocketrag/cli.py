@@ -28,7 +28,7 @@ from .bench import (
     write_run_log,
 )
 from .embedding import DEFAULT_BACKEND, resolve_backend
-from .errors import PocketRagError
+from .errors import MalformedEntryError, PocketRagError
 from .planning import EffectReflector, HttpChatPlanner, ScriptedPlanner
 from .simulator import Scenario
 from .task_memory import MemoryStore
@@ -40,9 +40,19 @@ EXIT_ERROR = 2
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    config = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    if not isinstance(config, dict) or not isinstance(config.get("agent", {}), dict):
+        raise MalformedEntryError(f"config {path!r} must be an object, its 'agent' too")
+    return config
+
+
+def _read_catalog(path: str) -> list[AppSeed]:
+    """A catalog file: a list of app entries, or an object holding it as ``apps``."""
+    catalog = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = catalog.get("apps") if isinstance(catalog, dict) else catalog
+    if not isinstance(entries, list):
+        raise MalformedEntryError(f"catalog {path!r} holds no list of apps")
+    return [AppSeed.from_dict(e) for e in entries]
 
 
 def _agent_config(config: dict, overrides: dict) -> AgentConfig:
@@ -95,12 +105,8 @@ def _search_backend_for(name: str, config: dict, scenario: Scenario):
 
 def _cmd_index_build(args: argparse.Namespace, config: dict) -> int:
     backend = _resolve_embedder(config, args.backend)
-    catalog = json.loads(Path(args.catalog).read_text(encoding="utf-8"))
-    entries = catalog["apps"] if isinstance(catalog, dict) else catalog
     threshold = _agent_config(config, {"tau_local": args.threshold}).tau_local
-    index = AppIndex.build(
-        [AppSeed.from_dict(e) for e in entries], backend, threshold=threshold
-    )
+    index = AppIndex.build(_read_catalog(args.catalog), backend, threshold=threshold)
     index.save(args.out)
     print(f"indexed {len(index)} apps -> {args.out}")
     return EXIT_OK
@@ -236,10 +242,8 @@ def _cmd_memory(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace, config: dict) -> int:
-    catalog = json.loads(Path(args.catalog).read_text(encoding="utf-8"))
-    entries = catalog["apps"] if isinstance(catalog, dict) else catalog
     examples = generate_training_corpus(
-        [AppSeed.from_dict(e) for e in entries],
+        _read_catalog(args.catalog),
         queries_per_app=args.per_app,
         none_fraction=args.none,
         query_source=KeywordQuerySource(),

@@ -14,7 +14,10 @@ The reference backend's token hash is a pure function of the token, so it
 is memoised process-wide in a bounded LRU cache (``_token_hash``, 65,536
 tokens) and shared by every ``HashedTokenEmbedder`` whatever its dimension;
 the hashing trick itself follows Weinberger et al., "Feature Hashing for
-Large Scale Multitask Learning" (arXiv:0902.2206).
+Large Scale Multitask Learning" (arXiv:0902.2206). Rows of app
+descriptions are memoised too, by ``app_index._description_row`` (4,096
+rows, ≤ ~13 MB at d = 384), keyed on the backend by ``==``; queries and
+memory texts are always embedded afresh.
 
 ``VectorRows``, the one keyed vector store of the app index and the
 memory, keeps full blocks transposed, so a query reads only its own
@@ -133,7 +136,9 @@ class EmbedderBackend(Protocol):
     """Interface every embedding backend implements.
 
     ``encode`` returns a raw (possibly unnormalized) vector of length
-    ``dimension``; it must be deterministic for a given input text.
+    ``dimension``; it must be deterministic for a given input text. A
+    backend must also be hashable: rows and store indexes are cached per
+    backend, and backends that compare equal share them.
     """
 
     name: str
@@ -157,8 +162,8 @@ class HashedTokenEmbedder:
         self.dimension = dimension
         self.name = f"hashed-token-{dimension}"
 
-    # the dimension fixes every vector, so equal backends embed alike and
-    # may share anything built from their vectors (see Scenario.store_index)
+    # the dimension fixes every vector, so equal backends embed alike and may share
+    # anything built from their vectors (Scenario.store_index, app_index._description_row)
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -469,6 +470,22 @@ def test_store_index_is_shared_between_equal_backends():
     index = scenario.store_index(HashedTokenEmbedder(64), 0.3)
     assert scenario.store_index(HashedTokenEmbedder(64), 0.3) is index
     assert scenario.store_index(HashedTokenEmbedder(32), 0.3) is not index
+
+
+def test_saved_store_index_labels_its_records_as_store_catalog(backend, tmp_path):
+    scenario = Scenario.from_dict(mini_scenario_dict())
+    path = tmp_path / "store.json"
+    scenario.store_index(backend, 0.3).save(path)
+    labels = [(a["package_id"], a["installed"], a["source"])
+              for a in json.loads(path.read_text())["apps"]]
+    assert labels == [("com.weather", False, "store_catalog")]
+    assert [(r.installed, r.source) for r in AppIndex.load(path).records()] == [
+        (False, "store_catalog")
+    ]
+    data = json.loads(path.read_text())  # a file without labels: installed decides
+    del data["apps"][0]["source"]
+    path.write_text(json.dumps(data))
+    assert AppIndex.load(path).get("com.weather").source == "store_catalog"
 
 
 # texts whose signed token hashes cancel to the zero vector in 384 dimensions

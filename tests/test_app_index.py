@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,12 @@ from pocketrag.app_index import (
     KeywordQuerySource,
     NONE_SENTINEL,
     TrainingExample,
+    _description_row,
     generate_training_corpus,
     load_corpus,
     write_corpus,
 )
-from pocketrag.embedding import HashedTokenEmbedder, embed
+from pocketrag.embedding import HashedTokenEmbedder, embed, embed_row
 from pocketrag.errors import (
     ConflictingRecordError,
     DuplicatePackageIdError,
@@ -109,6 +111,97 @@ def test_build_with_a_bad_last_entry_returns_no_index(last, error, encoded):
     with pytest.raises(error):
         AppIndex.build(random_catalog(random.Random(0), 20) + [last], backend, threshold=0.4)
     assert backend.calls == encoded
+
+
+# --- the description-row cache: each test embeds descriptions no other test
+# embeds with an equal backend, so no test depends on the order tests run in
+
+
+def test_second_build_of_a_catalog_encodes_nothing():
+    catalog = [
+        AppSeed(f"W{i}", f"com.wombat{i}", f"wombat lantern orchard {word}")
+        for i, word in enumerate(["tide", "ember", "sable"])
+    ]
+    backend = CountingEmbedder()
+    first = AppIndex.build(catalog, backend, threshold=0.4)
+    assert backend.calls == 3
+    equal = CountingEmbedder()  # an equal backend shares the rows
+    second = AppIndex.build(catalog, equal, threshold=0.4)
+    second.register(AppSeed("Copy", "com.wombat9", catalog[0].description))
+    assert (backend.calls, equal.calls) == (3, 0)
+    assert second.to_dict()["apps"][:3] == first.to_dict()["apps"]
+
+
+class SaltedEmbedder:
+    """Counts its calls; unequal to every other instance, like any plain backend."""
+
+    name = "salted"
+    dimension = 64
+
+    def __init__(self, salt: str) -> None:
+        self.salt = salt
+        self.calls = 0
+
+    def encode(self, text):
+        self.calls += 1
+        return HashedTokenEmbedder(64).encode(f"{self.salt} {text}")
+
+
+def test_an_unequal_backend_embeds_its_own_rows():
+    catalog = [
+        AppSeed("Z", "com.zither", "zither marmot harbor"),
+        AppSeed("Q", "com.quill", "quill marmot dune"),
+    ]
+    first, second = SaltedEmbedder("alpha"), SaltedEmbedder("omega")
+    left = AppIndex.build(catalog, first, threshold=0.4)
+    right = AppIndex.build(catalog, second, threshold=0.4)
+    assert (first.calls, second.calls) == (2, 2)
+    for seed in catalog:
+        vector = right.get(seed.package_id).embedding.values
+        assert vector.tobytes() == embed_row(second, seed.description).tobytes()
+        assert not np.array_equal(vector, left.get(seed.package_id).embedding.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6), min_size=1, max_size=20))
+def test_warm_build_equals_cold_build(descriptions):
+    backend = SaltedEmbedder("")  # a fresh backend: its first build is cold
+    seeds = [AppSeed(f"A{i}", f"com.p{i:03d}", " ".join(w)) for i, w in enumerate(descriptions)]
+    try:
+        cold = AppIndex.build(seeds, backend, threshold=0.3)
+    except EmptyTextError:  # a description whose tokens cancel, as 'food browser' does
+        with pytest.raises(EmptyTextError):
+            AppIndex.build(seeds, backend, threshold=0.3)
+        return
+    calls = backend.calls
+    warm = AppIndex.build(seeds, backend, threshold=0.3)
+    assert backend.calls == calls
+    assert warm.to_dict() == cold.to_dict()
+    for seed in seeds:
+        row = embed_row(backend, seed.description)
+        assert warm.get(seed.package_id).embedding.values.tobytes() == row.tobytes()
+
+
+def test_unembeddable_description_raises_on_every_build():
+    backend = CountingEmbedder()
+    catalog = [AppSeed("Zero", "com.zero.twice", "zudami vaperi dizopa nezege")]
+    for calls in (1, 2):
+        with pytest.raises(EmptyTextError):
+            AppIndex.build(catalog, backend, threshold=0.4)
+        assert backend.calls == calls
+
+
+def test_cached_row_is_read_only_and_never_shared(backend):
+    description = "gecko kettle meadow"
+    index = AppIndex.build([AppSeed("G", "com.gecko", description)], backend, threshold=0.4)
+    row = _description_row(backend, description)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+    record = index.get("com.gecko")
+    assert record.embedding.values.tobytes() == row.tobytes()
+    assert not np.shares_memory(record.embedding.values, row)
+    assert not np.shares_memory(index._rows.vector("com.gecko"), row)
 
 
 def test_empty_description_rejected(backend):

@@ -296,6 +296,23 @@ def test_index_build_on_malformed_catalog_exits_2(tmp_path, capsys, entry, named
     assert not index_path.exists()
 
 
+@pytest.mark.parametrize(
+    "config, catalog",
+    [([1, 2], CATALOG), ({"agent": [1]}, CATALOG), (None, {"apps": 5})],
+    ids=["config-list", "config-agent-list", "catalog-apps-int"],
+)
+def test_index_build_on_malformed_input_exits_2(tmp_path, capsys, config, catalog):
+    catalog_path = tmp_path / "apps.json"
+    catalog_path.write_text(json.dumps(catalog))
+    argv = ["index", "build", "--catalog", str(catalog_path), "--out", str(tmp_path / "idx.json")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "config.json")] + argv
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "idx.json").exists()
+
+
 def test_memory_ls_on_non_unit_vector_exits_2(tmp_path, scenario_file, task_file, capsys):
     memory_path = tmp_path / "memory.json"
     main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
