@@ -25,7 +25,7 @@ store); each act is 1 planner call plus 1 mobile step, and is reflected on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping
 
 from .app_index import AppIndex, AppMatch, RetrievalOutcome
@@ -36,6 +36,7 @@ from .errors import (
     NotInStoreError,
     PocketRagError,
     ScenarioMismatchError,
+    malformed,
 )
 from .planning import (
     DECISION_ACT,
@@ -90,13 +91,8 @@ class AgentConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "AgentConfig":
         """Build from a config mapping; unknown keys and bad values raise PocketRagError."""
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise PocketRagError(f"unknown agent config key(s): {', '.join(unknown)}")
-        try:
+        with malformed(PocketRagError, "invalid agent config"):
             return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise PocketRagError(f"invalid agent config: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .errors import (
     EmptyQueryError,
     MalformedEntryError,
     QuerySourceFailureError,
+    malformed,
 )
 
 NONE_SENTINEL = "NONE"
@@ -68,15 +69,12 @@ class AppSeed:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AppSeed":
-        """Raises MalformedEntryError when ``package_id`` or ``description`` is missing."""
-        try:
-            return cls(
-                app_name=str(data.get("name") or data.get("app_name") or ""),
-                package_id=str(data["package_id"]),
-                description=str(data["description"]),
-            )
-        except (KeyError, AttributeError, TypeError) as exc:
-            raise MalformedEntryError(f"app entry {data!r} is malformed: {exc!r}") from None
+        """Raises KeyError when a field is missing; callers guard the whole catalog."""
+        return cls(
+            app_name=str(data.get("name") or data.get("app_name") or ""),
+            package_id=str(data["package_id"]),
+            description=str(data["description"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,8 @@ class AppIndex:
         anywhere fails the build before the embedding work starts.
         """
         index = cls(backend, threshold)
-        seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
+        with malformed(MalformedEntryError, "catalog"):
+            seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
         source = SOURCE_PREINSTALLED if installed else SOURCE_CATALOG
         index._insert([_Entry(seed, installed, source) for seed in seeds])
         return index
@@ -316,8 +315,9 @@ class AppIndex:
         field is missing or invalid, a vector is not unit-norm, or the file's
         dimension differs from the backend's.
         """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        try:
+        where = f"index file {str(path)!r}"
+        with malformed(MalformedEntryError, where):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
             if backend is None:
                 backend = resolve_backend(data["backend"])
             if backend.dimension != data["dimension"]:
@@ -326,24 +326,16 @@ class AppIndex:
                     f"backend {backend.name!r} produces {backend.dimension}"
                 )
             index = cls(backend, data["threshold"] if threshold is None else threshold)
-            entries = list(data["apps"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedEntryError(f"index file {str(path)!r}: {exc!r}") from exc
-        apps, vectors = [], []
-        for position, entry in enumerate(entries):
-            try:
-                seed = AppSeed(entry["name"], entry["package_id"], entry["description"])
-                vector = EmbeddingVector(entry["embedding"])
-                installed = bool(entry.get("installed", True))
-                source = entry.get("source", SOURCE_PREINSTALLED if installed else SOURCE_CATALOG)
-            except (KeyError, TypeError, ValueError) as exc:
-                pid = entry.get("package_id") if isinstance(entry, dict) else None
-                raise MalformedEntryError(
-                    f"index file {str(path)!r}, app entry {position} ({pid!r}): {exc!r}"
-                ) from exc
-            apps.append(_Entry(seed, installed, source))
-            vectors.append(vector)
-        index._insert(apps, vectors)
+            apps, vectors = [], []
+            for position, entry in enumerate(data["apps"]):
+                with malformed(MalformedEntryError, f"{where}, app entry {position}"):
+                    seed = AppSeed(entry["name"], entry["package_id"], entry["description"])
+                    vectors.append(EmbeddingVector(entry["embedding"]))
+                    installed = bool(entry.get("installed", True))
+                    default = SOURCE_PREINSTALLED if installed else SOURCE_CATALOG
+                    source = entry.get("source", default)
+                apps.append(_Entry(seed, installed, source))
+            index._insert(apps, vectors)
         return index
 
 
@@ -421,7 +413,7 @@ class KeywordQuerySource:
 
 
 def generate_training_corpus(
-    catalog: Sequence[AppSeed | Mapping],
+    catalog: Sequence[AppSeed],
     queries_per_app: int,
     none_fraction: float,
     query_source: QuerySource,
@@ -434,21 +426,20 @@ def generate_training_corpus(
     keeps the none share of the whole corpus at ``none_fraction`` within
     one example.
     """
-    seeds = [s if isinstance(s, AppSeed) else AppSeed.from_dict(s) for s in catalog]
-    if not seeds:
-        raise ValueError("catalog is empty")
-    if len(seeds) < 2:
-        raise ValueError("corpus generation needs >= 2 apps to sample negatives")
+    if not catalog:
+        raise MalformedEntryError("catalog is empty")
+    if len(catalog) < 2:
+        raise MalformedEntryError("corpus generation needs >= 2 apps to sample negatives")
     if queries_per_app < 1:
         raise ValueError("queries_per_app must be >= 1")
     if not 0.0 <= none_fraction < 1.0:
         raise ValueError("none_fraction must be in [0, 1)")
 
     rng = random.Random(seed)
-    package_ids = [s.package_id for s in seeds]
+    package_ids = [s.package_id for s in catalog]
     examples: list[TrainingExample] = []
 
-    for app in seeds:
+    for app in catalog:
         try:
             queries = list(query_source.queries_for_app(app, queries_per_app))
         except Exception as exc:

@@ -26,6 +26,7 @@ from .errors import (
     MalformedEntryError,
     ManifestError,
     PocketRagError,
+    malformed,
 )
 from .metrics import GroundTruth, MetricsReport, aggregate, compute_metrics
 from .planning import EffectReflector, Planner, ScriptedPlanner
@@ -53,7 +54,7 @@ class BenchmarkTask:
     @classmethod
     def from_dict(cls, data: Mapping) -> "BenchmarkTask":
         """Raises MalformedEntryError when a field is missing or has the wrong type."""
-        try:
+        with malformed(MalformedEntryError, "task entry"):
             tier = data["tier"]
             if tier not in TIERS:
                 raise InvalidGroundTruthError(
@@ -67,8 +68,6 @@ class BenchmarkTask:
                 ground_truth=GroundTruth.from_dict(data["ground_truth"]),
                 script=tuple(dict(s) for s in data.get("script", [])),
             )
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise MalformedEntryError(f"task entry is malformed: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -131,78 +130,79 @@ class Pack:
 
 
 def load_pack(path: str | Path) -> Pack:
-    """Load and validate a pack directory; raises on structural problems."""
+    """Load and validate a pack directory; raises a PocketRagError on structural problems.
+
+    ``manifest.json`` is an object: ``scenarios`` and ``tasks`` list paths in the pack,
+    ``suites`` maps names to task-id lists; ``stats``, ``agent_config`` and ``name`` are optional.
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise ManifestError(f"no manifest.json under {root}")
-    try:
+    with malformed(ManifestError, f"pack {str(root)!r}"):
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+        scenarios: dict[str, Scenario] = {}
+        for rel in manifest.get("scenarios", []):
+            scenario = Scenario.from_file(root / rel)
+            if scenario.scenario_id in scenarios:
+                raise ManifestError(f"duplicate scenario id {scenario.scenario_id!r}")
+            scenarios[scenario.scenario_id] = scenario
 
-    scenarios: dict[str, Scenario] = {}
-    for rel in manifest.get("scenarios", []):
-        scenario = Scenario.from_file(root / rel)
-        if scenario.scenario_id in scenarios:
-            raise ManifestError(f"duplicate scenario id {scenario.scenario_id!r}")
-        scenarios[scenario.scenario_id] = scenario
-
-    tasks: list[BenchmarkTask] = []
-    seen_ids: set[str] = set()
-    for rel in manifest.get("tasks", []):
-        data = json.loads((root / rel).read_text(encoding="utf-8"))
-        task = BenchmarkTask.from_dict(data)
-        if task.task_id in seen_ids:
-            raise ManifestError(f"duplicate task id {task.task_id!r}")
-        seen_ids.add(task.task_id)
-        if task.scenario_ref not in scenarios:
-            raise DanglingScenarioRefError(
-                f"task {task.task_id!r} references unknown scenario "
-                f"{task.scenario_ref!r}"
-            )
-        _validate_task_against_scenario(task, scenarios[task.scenario_ref])
-        tasks.append(task)
-
-    if not tasks:
-        raise ManifestError("pack declares no tasks")
-
-    suites = {
-        name: list(ids) for name, ids in manifest.get("suites", {}).items()
-    }
-    suites.setdefault("default", [t.task_id for t in tasks])
-    for name, ids in suites.items():
-        for task_id in ids:
-            if task_id not in seen_ids:
-                raise ManifestError(f"suite {name!r} lists unknown task {task_id!r}")
-
-    stats = compute_stats(tasks, scenarios)
-    frozen = manifest.get("stats")
-    if frozen is not None:
-        recomputed = stats.to_dict()
-        for key, value in frozen.items():
-            got = recomputed.get(key)
-            same = (
-                abs(got - value) <= 1e-9
-                if isinstance(value, float) or isinstance(got, float)
-                else got == value
-            )
-            if not same:
-                raise ManifestError(
-                    f"manifest stats disagree with recomputation on {key!r}: "
-                    f"frozen {value!r}, recomputed {got!r}"
+        tasks: list[BenchmarkTask] = []
+        seen_ids: set[str] = set()
+        for rel in manifest.get("tasks", []):
+            data = json.loads((root / rel).read_text(encoding="utf-8"))
+            task = BenchmarkTask.from_dict(data)
+            if task.task_id in seen_ids:
+                raise ManifestError(f"duplicate task id {task.task_id!r}")
+            seen_ids.add(task.task_id)
+            if task.scenario_ref not in scenarios:
+                raise DanglingScenarioRefError(
+                    f"task {task.task_id!r} references unknown scenario "
+                    f"{task.scenario_ref!r}"
                 )
+            _validate_task_against_scenario(task, scenarios[task.scenario_ref])
+            tasks.append(task)
 
-    config = AgentConfig.from_dict(manifest.get("agent_config", {}))
-    return Pack(
-        name=manifest.get("name", root.name),
-        root=root,
-        tasks=tasks,
-        scenarios=scenarios,
-        suites=suites,
-        agent_config=config,
-        stats=stats,
-    )
+        if not tasks:
+            raise ManifestError("pack declares no tasks")
+
+        suites = {
+            name: list(ids) for name, ids in manifest.get("suites", {}).items()
+        }
+        suites.setdefault("default", [t.task_id for t in tasks])
+        for name, ids in suites.items():
+            for task_id in ids:
+                if task_id not in seen_ids:
+                    raise ManifestError(f"suite {name!r} lists unknown task {task_id!r}")
+
+        stats = compute_stats(tasks, scenarios)
+        frozen = manifest.get("stats")
+        if frozen is not None:
+            recomputed = stats.to_dict()
+            for key, value in frozen.items():
+                got = recomputed.get(key)
+                same = (
+                    abs(got - value) <= 1e-9
+                    if isinstance(value, float) or isinstance(got, float)
+                    else got == value
+                )
+                if not same:
+                    raise ManifestError(
+                        f"manifest stats disagree with recomputation on {key!r}: "
+                        f"frozen {value!r}, recomputed {got!r}"
+                    )
+
+        config = AgentConfig.from_dict(manifest.get("agent_config", {}))
+        return Pack(
+            name=manifest.get("name", root.name),
+            root=root,
+            tasks=tasks,
+            scenarios=scenarios,
+            suites=suites,
+            agent_config=config,
+            stats=stats,
+        )
 
 
 def _validate_task_against_scenario(task: BenchmarkTask, scenario: Scenario) -> None:
@@ -414,17 +414,18 @@ def write_run_log(run: TaskRun, path: str | Path) -> None:
 
 def read_run_log(path: str | Path) -> TaskRun:
     """Recover the serialized run from a log file."""
-    last_run = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            event = json.loads(line)
-            if event.get("event") == "run":
-                last_run = event["run"]
-    if last_run is None:
-        raise PocketRagError(f"{path} contains no run record")
-    return TaskRun.from_dict(last_run)
+    with malformed(MalformedEntryError, f"run log {str(path)!r}"):
+        last_run = None
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                event = json.loads(line)
+                if event.get("event") == "run":
+                    last_run = event["run"]
+        if last_run is None:
+            raise PocketRagError(f"{path} contains no run record")
+        return TaskRun.from_dict(last_run)
 
 
 # --- pack validation ---------------------------------------------------------

@@ -3,7 +3,8 @@
 Precedence for settings is flags over config file over built-in defaults.
 Secrets (API keys) come from environment variables named in the config,
 never from flags. Results go to stdout, diagnostics to stderr; exit codes:
-0 success, 1 task failed its goal, 2 usage or harness error.
+0 success, 1 task failed its goal, 2 usage or harness error, or an input
+file that is malformed, undecodable or unreadable.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bench import (
     write_run_log,
 )
 from .embedding import DEFAULT_BACKEND, resolve_backend
-from .errors import MalformedEntryError, PocketRagError
+from .errors import MalformedEntryError, PocketRagError, malformed
 from .planning import EffectReflector, HttpChatPlanner, ScriptedPlanner
 from .simulator import Scenario
 from .task_memory import MemoryStore
@@ -38,21 +39,27 @@ EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_ERROR = 2
 
+_CONFIG_OBJECTS = ("agent", "live_planner", "search")
+
 
 def _load_config(path: str | None) -> dict:
-    config = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
-    if not isinstance(config, dict) or not isinstance(config.get("agent", {}), dict):
-        raise MalformedEntryError(f"config {path!r} must be an object, its 'agent' too")
+    """The config file: an object whose ``agent``, ``live_planner`` and ``search`` are objects."""
+    with malformed(MalformedEntryError, f"config {path!r}"):
+        config = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+        if not all(isinstance(config.get(key, {}), dict) for key in _CONFIG_OBJECTS):
+            raise MalformedEntryError(f"config {path!r}: {_CONFIG_OBJECTS} must be objects")
     return config
 
 
 def _read_catalog(path: str) -> list[AppSeed]:
     """A catalog file: a list of app entries, or an object holding it as ``apps``."""
-    catalog = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = catalog.get("apps") if isinstance(catalog, dict) else catalog
-    if not isinstance(entries, list):
-        raise MalformedEntryError(f"catalog {path!r} holds no list of apps")
-    return [AppSeed.from_dict(e) for e in entries]
+    seeds = []
+    with malformed(MalformedEntryError, f"catalog {path!r}"):
+        catalog = json.loads(Path(path).read_text(encoding="utf-8"))
+        for entry in catalog.get("apps") if isinstance(catalog, dict) else catalog:
+            with malformed(MalformedEntryError, f"app entry {entry!r}"):
+                seeds.append(AppSeed.from_dict(entry))
+    return seeds
 
 
 def _agent_config(config: dict, overrides: dict) -> AgentConfig:
@@ -133,9 +140,8 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
     task = None
     instruction = args.instruction
     if args.task:
-        task = BenchmarkTask.from_dict(
-            json.loads(Path(args.task).read_text(encoding="utf-8"))
-        )
+        with malformed(MalformedEntryError, f"task file {args.task!r}"):
+            task = BenchmarkTask.from_dict(json.loads(Path(args.task).read_text(encoding="utf-8")))
         instruction = task.instruction
     if not instruction:
         raise PocketRagError("provide --task or --instruction")
@@ -352,16 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
-    except PocketRagError as exc:
+        return args.func(args, _load_config(args.config))
+    except (PocketRagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

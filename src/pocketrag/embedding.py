@@ -424,8 +424,7 @@ def register_backend(name: str, factory: Callable[[], EmbedderBackend]) -> None:
 
 def resolve_backend(name: str) -> EmbedderBackend:
     """Instantiate a registered backend by name."""
-    try:
-        factory = _BACKEND_FACTORIES[name]
-    except KeyError:
-        raise BackendFailureError(f"no registered embedder backend named {name!r}") from None
+    factory = _BACKEND_FACTORIES.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise BackendFailureError(f"no registered embedder backend named {name!r}")
     return factory()

@@ -1,8 +1,30 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the malformed-input guard.
+
+``malformed`` is the single place that decides which exceptions mean that an
+outside input (a config, catalog, index, memory, scenario, task, run-log or
+manifest file, or a planner script) has the wrong shape.
+"""
 
 
 class PocketRagError(Exception):
     """Base class for all package-specific errors."""
+
+
+class malformed:
+    """Re-raise ``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError``
+    (``JSONDecodeError`` and ``UnicodeDecodeError`` included) from the block as
+    ``error_class(f"{where} is malformed: {exc!r}")``; all else passes through."""
+
+    def __init__(self, error_class: type[PocketRagError], where: str) -> None:
+        self.error_class = error_class
+        self.where = where
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if isinstance(exc, (KeyError, TypeError, AttributeError, ValueError)):
+            raise self.error_class(f"{self.where} is malformed: {exc!r}") from exc
 
 
 # --- embedding ---

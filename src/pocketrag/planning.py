@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from .app_index import AppMatch
-from .errors import PlannerFailureError
+from .errors import PlannerFailureError, malformed
 from .simulator import Action, ActionStep, ScreenState
 
 DECISION_NEED_KNOWLEDGE = "need_knowledge"
@@ -147,12 +147,8 @@ class ScriptedPlanner:
             return PlannerDecision.finish(False, "script exhausted")
         entry = self._script[self._cursor]
         self._cursor += 1
-        try:
+        with malformed(PlannerFailureError, f"script entry {self._cursor - 1}"):
             decision = decision_from_script(entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlannerFailureError(
-                f"script entry {self._cursor - 1} is malformed: {exc!r}"
-            ) from exc
         if decision.kind == DECISION_SELECT_APP:
             self._pick = entry.get("pick")
         return decision

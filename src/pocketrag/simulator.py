@@ -27,6 +27,7 @@ from .errors import (
     DeviceStoppedError,
     NotInStoreError,
     ScenarioError,
+    malformed,
 )
 
 logger = logging.getLogger(__name__)
@@ -350,7 +351,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping, base_dir: str | Path | None = None) -> "Scenario":
         """Raises ScenarioError when a field is missing or has the wrong type."""
-        try:
+        with malformed(ScenarioError, "scenario"):
             graphs = {}
             for pid, graph_data in data.get("app_graphs", {}).items():
                 screens = {}
@@ -396,13 +397,12 @@ class Scenario:
             if fg != HOME_PACKAGE:
                 raise ScenarioError("only home-screen initial states are supported")
             return scenario
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise ScenarioError(f"scenario is malformed: {exc!r}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
         path = Path(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with malformed(ScenarioError, f"scenario file {str(path)!r}"):
+            data = json.loads(path.read_text(encoding="utf-8"))
         return cls.from_dict(data, base_dir=path.parent)
 
 

@@ -37,6 +37,7 @@ from .errors import (
     MalformedEntryError,
     PocketRagError,
     TraceWithoutStopError,
+    malformed,
 )
 from .simulator import ActionTrace, Device
 
@@ -250,8 +251,9 @@ class MemoryStore:
         field is missing or invalid, a vector is not unit-norm, or a
         dimension differs from the backend's.
         """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        try:
+        where = f"memory file {str(path)!r}"
+        with malformed(MalformedEntryError, where):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
             if backend is None:
                 backend = resolve_backend(data["backend"])
             if backend.dimension != data["dimension"]:
@@ -262,38 +264,26 @@ class MemoryStore:
             if threshold is None:
                 threshold = data.get("threshold", DEFAULT_MEMORY_THRESHOLD)
             store = cls(backend, threshold=threshold, capacity=data.get("capacity"), clock=clock)
-            entries = list(data.get("records", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedEntryError(f"memory file {str(path)!r}: {exc!r}") from exc
-        max_seq = -1
-        for position, entry in enumerate(entries):
-            try:
-                record = MemoryRecord(
-                    query_text=entry["query"],
-                    normalized_query=entry["normalized_query"],
-                    trace=ActionTrace.from_jsonable(entry["trace"]),
-                    created_at=float(entry["created_at"]),
-                    success_count=int(entry["success_count"]),
-                    seq=int(entry.get("seq", 0)),
-                )
-                vector = EmbeddingVector(entry["embedding"])
-            except (KeyError, TypeError, AttributeError, ValueError) as exc:
-                query = entry.get("normalized_query") if isinstance(entry, dict) else None
-                raise MalformedEntryError(
-                    f"memory file {str(path)!r}, record {position} ({query!r}): {exc!r}"
-                ) from exc
-            if record.normalized_query in store._records:
-                raise PocketRagError(
-                    f"memory file repeats the query {record.normalized_query!r}"
-                )
-            if vector.dimension != backend.dimension:
-                raise PocketRagError(
-                    f"memory record {record.normalized_query!r} has dimension "
-                    f"{vector.dimension}, backend produces {backend.dimension}"
-                )
-            store._records[record.normalized_query] = record
-            store._rows.add(record.normalized_query, vector.values)
-            max_seq = max(max_seq, record.seq)
+            max_seq = -1
+            for position, entry in enumerate(data.get("records", [])):
+                with malformed(MalformedEntryError, f"{where}, record {position}"):
+                    record = MemoryRecord(
+                        query_text=entry["query"],
+                        normalized_query=entry["normalized_query"],
+                        trace=ActionTrace.from_jsonable(entry["trace"]),
+                        created_at=float(entry["created_at"]),
+                        success_count=int(entry["success_count"]),
+                        seq=int(entry.get("seq", 0)),
+                    )
+                    vector = EmbeddingVector(entry["embedding"])
+                if vector.dimension != backend.dimension:
+                    raise PocketRagError(
+                        f"memory record {record.normalized_query!r} has dimension "
+                        f"{vector.dimension}, backend produces {backend.dimension}"
+                    )
+                store._records[record.normalized_query] = record
+                store._rows.add(record.normalized_query, vector.values)
+                max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
         return store
 

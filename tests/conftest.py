@@ -1,13 +1,52 @@
-"""Shared fixtures: a reference backend and a small self-contained world."""
+"""Shared fixtures: a reference backend, a small self-contained world, and
+a Hypothesis profile and JSON strategy for the property tests."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from pocketrag.embedding import HashedTokenEmbedder
 from pocketrag.simulator import Scenario
 
 PACK_DIR = "packs/desk"
+
+# Examples embed, simulate and load files; their time varies too much for a deadline.
+settings.register_profile("pocketrag", deadline=None)
+settings.load_profile("pocketrag")
+
+# Every key that some input file format or planner reply reads, so that
+# generated objects reach past the first missing-key check.
+INPUT_KEYS = (
+    "agent embedder live_planner search tau_local tau_mem k_apps max_steps max_planner_calls "
+    "apps name app_name package_id description backend dimension threshold embedding "
+    "installed source records query normalized_query trace created_at success_count seq "
+    "capacity action kind target text direction package success pre_screen post_screen "
+    "effect flag_changes scenario_id installed_apps store_catalog app_graphs entry screens "
+    "elements element_id role bounds transitions next flags initial foreground "
+    "search_fixtures task_id instruction tier scenario ground_truth expected_apps "
+    "expected_actions sub_goals flag equals screen script do pick entities reason decision "
+    "scenarios tasks suites stats agent_config default repeat"
+).split()
+
+
+def json_values():
+    """Any JSON value; object keys are mostly the keys the input formats read."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8)
+    )
+    keys = st.sampled_from(INPUT_KEYS) | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(keys, children, max_size=5),
+        max_leaves=12,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -162,7 +162,7 @@ def test_an_unequal_backend_embeds_its_own_rows():
         assert not np.array_equal(vector, left.get(seed.package_id).embedding.values)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6), min_size=1, max_size=20))
 def test_warm_build_equals_cold_build(descriptions):
     backend = SaltedEmbedder("")  # a fresh backend: its first build is cold
@@ -271,7 +271,7 @@ def test_retrieval_matches_oracle_seeded(backend):
                 assert [p for p, _ in got] == [p for p, _ in expected]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(
         st.lists(st.sampled_from(VOCAB), min_size=2, max_size=6),
@@ -306,7 +306,7 @@ def test_retrieval_oracle_property(descriptions, query_words):
         assert [m.package_id for m in outcome.matches] == [p for p, _ in expected]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(
         st.lists(st.sampled_from(VOCAB), min_size=2, max_size=6),

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from pocketrag.bench import BenchmarkTask
 from pocketrag.cli import main
@@ -14,7 +15,8 @@ from pocketrag.planning import ScriptedPlanner
 from pocketrag.simulator import Scenario
 from pocketrag.task_memory import MemoryStore
 
-from conftest import ALARM_SCRIPT, PACK_DIR, mini_scenario_dict
+from conftest import ALARM_SCRIPT, PACK_DIR, json_values, mini_scenario_dict
+from test_bench import write_mini_pack
 
 CATALOG = [
     {"name": "Maps", "package_id": "com.maps", "description": "maps navigation traffic routes"},
@@ -37,22 +39,24 @@ def scenario_file(tmp_path) -> Path:
     return path
 
 
+TASK = {
+    "task_id": "alarm",
+    "instruction": "Set an alarm for 8 am.",
+    "tier": "atomic",
+    "scenario": "mini",
+    "ground_truth": {
+        "expected_apps": ["com.clock"],
+        "expected_actions": [{"kind": "stop"}],
+        "sub_goals": [{"name": "set", "kind": "flag", "flag": "alarm_set", "equals": "08:00"}],
+    },
+    "script": ALARM_SCRIPT,
+}
+
+
 @pytest.fixture()
 def task_file(tmp_path) -> Path:
-    task = {
-        "task_id": "alarm",
-        "instruction": "Set an alarm for 8 am.",
-        "tier": "atomic",
-        "scenario": "mini",
-        "ground_truth": {
-            "expected_apps": ["com.clock"],
-            "expected_actions": [{"kind": "stop"}],
-            "sub_goals": [{"name": "set", "kind": "flag", "flag": "alarm_set", "equals": "08:00"}],
-        },
-        "script": ALARM_SCRIPT,
-    }
     path = tmp_path / "task.json"
-    path.write_text(json.dumps(task))
+    path.write_text(json.dumps(TASK))
     return path
 
 
@@ -325,6 +329,19 @@ def test_memory_ls_on_non_unit_vector_exits_2(tmp_path, scenario_file, task_file
     assert "record 0" in capsys.readouterr().err
 
 
+def test_memory_ls_on_repeated_query_exits_2(tmp_path, scenario_file, task_file, capsys):
+    memory_path = tmp_path / "memory.json"
+    main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
+          "--memory", str(memory_path), "--tau-local", "0.3"])
+    data = json.loads(memory_path.read_text())
+    data["records"].append(data["records"][0])
+    memory_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    with pytest.raises(MalformedEntryError, match="already stored"):
+        MemoryStore.load(memory_path)
+    assert main(["memory", "ls", "--store", str(memory_path)]) == 2
+
+
 def test_index_build_threshold_follows_config(tmp_path, catalog_file):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"agent": {"tau_local": 0.35}}))
@@ -422,3 +439,104 @@ def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert exit_info.value.code == 2
     assert "must be" in capsys.readouterr().err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("apps", [0, 1], ids=["no-apps", "one-app"])
+def test_corpus_generate_on_too_small_catalog_exits_2(tmp_path, capsys, apps):
+    catalog_path = tmp_path / "apps.json"
+    catalog_path.write_text(json.dumps(CATALOG[:apps]))
+    out_path = tmp_path / "corpus.jsonl"
+    code = main(["corpus", "generate", "--catalog", str(catalog_path), "--per-app", "1",
+                 "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
+
+
+def write_cli_world(root: Path) -> dict[str, Path]:
+    """A valid file for every file argument of the CLI, and a mini pack."""
+    paths = {}
+    for name, data in [("config", {"agent": {"tau_local": 0.3}}), ("catalog", CATALOG),
+                       ("scenario", mini_scenario_dict()), ("task", TASK)]:
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    paths["index"], paths["memory"] = root / "index.json", root / "memory.json"
+    paths["out"], paths["pack"] = root / "out", write_mini_pack(root)
+    assert main(["index", "build", "--catalog", str(paths["catalog"]),
+                 "--out", str(paths["index"])]) == 0
+    assert main(["run", "--scenario", str(paths["scenario"]), "--task", str(paths["task"]),
+                 "--memory", str(paths["memory"]), "--tau-local", "0.3"]) == 0
+    return paths
+
+
+# command -> (the file argument it reads, its argv)
+FILE_COMMANDS = {
+    "config": ("config", "--config {config} run --scenario {scenario} --task {task}"),
+    "index-build": ("catalog", "index build --catalog {catalog} --out {out}"),
+    "corpus-generate": ("catalog", "corpus generate --catalog {catalog} --per-app 1 --out {out}"),
+    "index": ("index", "index query --index {index} --q music"),
+    "memory": ("memory", "memory ls --store {memory}"),
+    "scenario": ("scenario", "run --scenario {scenario} --task {task}"),
+    "task": ("task", "run --scenario {scenario} --task {task}"),
+}
+
+
+def _argv(template: str, paths: dict[str, Path]) -> list[str]:
+    return [arg.format(**paths) for arg in template.split()]
+
+
+@pytest.mark.parametrize(
+    "command, damage",
+    [(command, damage)
+     for command in ("config", "index", "scenario", "task", "index-build", "memory")
+     for damage in ("directory", "not-utf-8")
+     if (command, damage) != ("memory", "directory")],  # a store that is no file lists empty
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, damage):
+    paths = write_cli_world(tmp_path)
+    argument, template = FILE_COMMANDS[command]
+    path = paths[argument]
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "caf\xe9"}')
+    capsys.readouterr()
+    assert main(_argv(template, paths)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def cli_world(tmp_path_factory) -> dict[str, Path]:
+    return write_cli_world(tmp_path_factory.mktemp("cli_world"))
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@settings(max_examples=25)
+@given(value=json_values())
+def test_no_json_input_file_crashes_the_cli(cli_world, command, value):
+    argument, template = FILE_COMMANDS[command]
+    path = cli_world[argument]
+    original = path.read_bytes()
+    path.write_text(json.dumps(value))
+    try:
+        assert main(_argv(template, cli_world)) in (0, 1, 2)
+    finally:
+        path.write_bytes(original)
+
+
+@pytest.mark.parametrize(
+    "key", [None, "scenarios", "tasks", "suites", "stats", "agent_config", "name"],
+    ids=lambda key: key or "whole-manifest",
+)
+@settings(max_examples=20)
+@given(value=json_values())
+def test_no_manifest_crashes_pack_validate_or_bench(cli_world, key, value):
+    path = cli_world["pack"] / "manifest.json"
+    original = path.read_text()
+    path.write_text(json.dumps(value if key is None else {**json.loads(original), key: value}))
+    try:
+        for command in ("pack validate", "bench"):
+            assert main(command.split() + ["--pack", str(cli_world["pack"])]) in (0, 1, 2)
+    finally:
+        path.write_text(original)

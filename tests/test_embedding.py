@@ -75,7 +75,7 @@ def test_cosine_orthogonal_basis():
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(TEXTS, TEXTS)
 def test_cosine_symmetry_exact(a_text, b_text):
     backend = HashedTokenEmbedder()
@@ -87,7 +87,7 @@ def test_cosine_symmetry_exact(a_text, b_text):
     assert cosine_similarity(a, b) == cosine_similarity(b, a)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(TEXTS)
 def test_self_similarity_property(text):
     backend = HashedTokenEmbedder()
@@ -232,14 +232,14 @@ def assert_embed_is_raw_over_own_norm(backend, text):
         assert embed(backend, text).values.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(TEXTS)
 def test_embed_equals_raw_over_own_norm_hashed(text):
     assert_embed_is_raw_over_own_norm(HashedTokenEmbedder(), text)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.one_of(st.just(0.0), FINITE), min_size=8, max_size=8))
 def test_embed_equals_raw_over_own_norm_arbitrary_floats(vector):
     assert_embed_is_raw_over_own_norm(ArrayBackend({"text": vector}), "text")

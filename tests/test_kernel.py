@@ -41,7 +41,7 @@ def scored_keys(draw):
     return scores, keys, k
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(scored_keys())
 def test_top_k_equals_full_sort(case):
     scores, keys, k = case
@@ -184,7 +184,7 @@ def unit(angle):
     return np.array([np.cos(angle), np.sin(angle)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(operations)
 def test_store_behaves_as_a_dict_with_a_full_sort(ops):
     # blocks of 4 rows, so short sequences cross block boundaries both ways
@@ -271,7 +271,7 @@ BOUNDARY_ROW = (
 NEXT_ROW = ((3, 0.4478856705735274),) + BOUNDARY_ROW[1:]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(sparse_operations)
 @example(
     [

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pocketrag.app_index import AppMatch
 from pocketrag.errors import PlannerFailureError
@@ -16,9 +20,9 @@ from pocketrag.planning import (
     parse_decision_response,
     render_context_blocks,
 )
-from pocketrag.simulator import Action, Device, Scenario
+from pocketrag.simulator import ACTION_KINDS, SWIPE_DIRECTIONS, Action, Device, Scenario
 
-from conftest import ALARM_SCRIPT, mini_scenario_dict
+from conftest import ALARM_SCRIPT, json_values, mini_scenario_dict
 
 
 def make_context(**overrides) -> PlannerContext:
@@ -107,6 +111,32 @@ def test_parse_rejects_malformed():
         parse_decision_response('{"decision": "mystery"}')
     with pytest.raises(ValueError):
         parse_decision_response('{"decision": "need_knowledge", "entities": []}')
+
+
+def _or_any(*values):
+    return st.sampled_from(values) | json_values()
+
+
+_ACTIONS = st.fixed_dictionaries(
+    {"kind": _or_any(*ACTION_KINDS)},
+    optional={key: _or_any("x", True) for key in ("target", "text", "package", "success")}
+    | {"direction": _or_any(*SWIPE_DIRECTIONS)},
+)
+_DECISIONS = st.fixed_dictionaries(
+    {"decision": _or_any("need_knowledge", "select_app", "act", "finish")},
+    optional={key: json_values() for key in ("entities", "query", "success", "reason")}
+    | {"action": _ACTIONS | json_values()},
+)
+
+
+@given(st.one_of(_DECISIONS.map(json.dumps), json_values().map(json.dumps), st.text()))
+def test_parse_returns_a_decision_or_raises_value_error(text):
+    # HttpChatPlanner retries only on ValueError, so nothing else may escape
+    try:
+        decision = parse_decision_response(text)
+    except ValueError:
+        return
+    assert isinstance(decision, PlannerDecision)
 
 
 def test_context_blocks_render_in_fixed_order():

@@ -389,7 +389,7 @@ def desk_scenarios() -> list[Scenario]:
     return sorted(load_pack(PACK_DIR).scenarios.values(), key=lambda s: s.scenario_id)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 30), st.data())
 def test_random_actions_are_deterministic(count, data):
     # the first device is observed before every step, the second never is
@@ -403,7 +403,7 @@ def test_random_actions_are_deterministic(count, data):
     assert second.observe() == first.observe()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 30), st.booleans(), st.data())
 def test_replaying_a_stopped_trace_reproduces_flags_and_screen(count, success, data):
     scenario = data.draw(st.sampled_from(desk_scenarios()))

@@ -138,7 +138,7 @@ def test_threshold_monotonicity(backend):
         assert high.lookup(NEAR_SIMILAR).is_none
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.lists(
         st.lists(st.sampled_from("redwood maple spruce cedar willow oak".split()),
@@ -261,7 +261,7 @@ def oracle_lookup(store: MemoryStore, backend, query: str):
     return ("none", None, None)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(
         st.tuples(
