@@ -265,7 +265,7 @@ def run_task(
     sync as the run proceeds).
     """
     device = Device(scenario)
-    if set(index) != set(device.installed_packages):
+    if index.package_ids() != device.installed_ids:
         raise ScenarioMismatchError(
             "index packages do not match the scenario's installed apps"
         )

@@ -26,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -174,25 +174,26 @@ class AppIndex:
     def _insert(
         self, entries: list[_Entry], vectors: list[EmbeddingVector] | None = None
     ) -> None:
-        """Check every entry, then store each under its package id.
+        """Check every entry, then store them all under their package ids in
+        one ``VectorRows.extend``; a failure stores none of them.
 
         An entry's vector is ``vectors[i]`` when given (its dimension must
         be the backend's), otherwise its embedded description.
         """
         self._check([entry.seed for entry in entries])
-        for position, entry in enumerate(entries):
-            seed = entry.seed
-            if vectors is None:
-                vector = _description_row(self.backend, seed.description)
-            elif vectors[position].dimension != self.backend.dimension:
-                raise DimensionMismatchError(
-                    f"record {seed.package_id} has dimension "
-                    f"{vectors[position].dimension}, index uses {self.backend.dimension}"
-                )
-            else:
-                vector = vectors[position].values
-            self._rows.add(seed.package_id, vector)
-            self._records[seed.package_id] = entry
+        if vectors is None:
+            rows = [_description_row(self.backend, e.seed.description) for e in entries]
+        else:
+            for entry, vector in zip(entries, vectors):
+                if vector.dimension != self.backend.dimension:
+                    raise DimensionMismatchError(
+                        f"record {entry.seed.package_id} has dimension "
+                        f"{vector.dimension}, index uses {self.backend.dimension}"
+                    )
+            rows = [vector.values for vector in vectors]
+        ids = [entry.seed.package_id for entry in entries]
+        self._rows.extend(ids, rows)
+        self._records.update(zip(ids, entries))
 
     def _check(self, seeds: list[AppSeed]) -> None:
         """Raise for an empty package id or description, or an id already taken."""
@@ -228,6 +229,10 @@ class AppIndex:
     def __iter__(self) -> Iterator[str]:
         return iter(self._records)
 
+    def package_ids(self) -> KeysView[str]:
+        """The indexed package ids, as a live read-only set view."""
+        return self._records.keys()
+
     def get(self, package_id: str) -> AppRecord | None:
         entry = self._records.get(package_id)
         return None if entry is None else self._record(entry)
@@ -243,7 +248,8 @@ class AppIndex:
         product rounded to 9 decimals, then by ascending package id, so
         the result does not depend on the BLAS or on where a vector sits.
         Returns a rejection outcome when the top score is below the
-        threshold (or the index is empty).
+        threshold (or the index is empty); a query that no record can lift
+        to the threshold ranks only its best record.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -251,7 +257,7 @@ class AppIndex:
             raise EmptyQueryError("query is empty")
         if not self._records:
             return RetrievalOutcome(matches=(), best_score=None)
-        hits = self._rows.search(embed_row(self.backend, query), k)
+        hits = self._rows.search(embed_row(self.backend, query), k, floor=self.threshold)
         best = hits[0][1]
         if best < self.threshold:
             return RetrievalOutcome(matches=(), best_score=best)

@@ -29,7 +29,7 @@ from .errors import (
     malformed,
 )
 from .metrics import GroundTruth, MetricsReport, aggregate, compute_metrics
-from .planning import EffectReflector, Planner, ScriptedPlanner
+from .planning import EffectReflector, Planner, ScriptedPlanner, check_script
 from .simulator import Scenario
 from .task_memory import MemoryStore
 from .web_search import FixtureSearchBackend, formulate_query
@@ -53,20 +53,25 @@ class BenchmarkTask:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BenchmarkTask":
-        """Raises MalformedEntryError when a field is missing or has the wrong type."""
+        """Raises MalformedEntryError when a field is missing or has the wrong
+        type, and PlannerFailureError naming a script entry of the wrong type."""
         with malformed(MalformedEntryError, "task entry"):
             tier = data["tier"]
             if tier not in TIERS:
                 raise InvalidGroundTruthError(
                     f"task {data.get('task_id')!r}: unknown tier {tier!r}"
                 )
+            if not isinstance(data["instruction"], str):
+                raise TypeError(f"instruction {data['instruction']!r} is not a string")
+            script = tuple(dict(s) for s in data.get("script", []))
+            check_script(script)
             return cls(
                 task_id=data["task_id"],
                 instruction=data["instruction"],
                 tier=tier,
                 scenario_ref=data["scenario"],
                 ground_truth=GroundTruth.from_dict(data["ground_truth"]),
-                script=tuple(dict(s) for s in data.get("script", [])),
+                script=script,
             )
 
 

@@ -329,6 +329,43 @@ class VectorRows:
         self._row_of[key] = len(self._keys)
         self._keys.append(key)
 
+    def extend(self, keys: Sequence[str], rows: Sequence[np.ndarray]) -> None:
+        """Store ``rows[i]`` under ``keys[i]``, as ``add`` would one at a time.
+
+        Writes a block slice per step instead of a row per call; a block that
+        the call fills from its first row is written straight into its
+        transposed layout. Raises KeyError, storing nothing, when a key is
+        repeated or already stored.
+        """
+        keys = list(keys)
+        if len(set(keys)) != len(keys) or not self._row_of.keys().isdisjoint(keys):
+            raise KeyError("a key is given twice or is already stored")
+        first = len(self._keys)
+        start = 0
+        while start < len(keys):
+            block, offset = divmod(first + start, _BLOCK_ROWS)
+            stop = min(len(keys), start + _BLOCK_ROWS - offset)
+            chunk = rows[start:stop]
+            if block < self._transposed:  # emptied by removals
+                self._blocks[block][:, offset : offset + len(chunk)] = np.transpose(chunk)
+            elif len(chunk) == _BLOCK_ROWS:
+                full = _transposed_block(chunk, self.dimension)
+                if block == len(self._blocks):
+                    self._blocks.append(full)
+                else:
+                    self._blocks[block] = full
+                self._transposed += 1
+            else:  # the open block, which transposes once full
+                if block == len(self._blocks):
+                    self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
+                self._blocks[block][offset : offset + len(chunk)] = chunk
+                if offset + len(chunk) == _BLOCK_ROWS:
+                    self._blocks[block] = np.ascontiguousarray(self._blocks[block].T)
+                    self._transposed += 1
+            start = stop
+        self._row_of.update(zip(keys, range(first, first + len(keys))))
+        self._keys.extend(keys)
+
     def remove(self, key: str) -> None:
         """Drop ``key`` by moving the last vector into its slot; empty blocks
         are kept, so a store that evicts on every commit reuses its last one."""
@@ -352,9 +389,16 @@ class VectorRows:
     def _dot(self, query: np.ndarray, row: int) -> float:
         return float(query @ np.ascontiguousarray(self._row(row)))
 
-    def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+    def search(
+        self, query: np.ndarray, k: int, floor: float = -math.inf
+    ) -> list[tuple[str, float]]:
         """The ``k`` best keys for ``query`` with their 1-D dot products, ranked
-        by ``top_k`` over those products, though only a few are computed."""
+        by ``top_k`` over those products, though only a few are computed.
+
+        When every score is more than 1e-8 below ``floor``, no hit can reach
+        it and only the best one is ranked and returned: a caller that
+        rejects such a query needs no more.
+        """
         n = len(self._keys)
         if not n:
             return []
@@ -370,7 +414,19 @@ class VectorRows:
         scaled -= np.rint(scaled)
         for row in np.flatnonzero(np.abs(scaled) >= 0.5 - self._margin).tolist():
             scores[row] = self._dot(query, row)
+        if scores.max() < floor - 1e-8:
+            k = 1
         return [(self._keys[row], self._dot(query, row)) for row in top_k(scores, self._keys, k)]
+
+
+def _transposed_block(rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
+    """The (dimension × len(rows)) transpose of ``rows``, in one allocation
+    written 32 rows at a time, which stays in cache where one strided copy of
+    the whole block does not."""
+    block = np.empty((dimension, len(rows)))
+    for start in range(0, len(rows), 32):
+        block[:, start : start + 32] = np.transpose(rows[start : start + 32])
+    return block
 
 
 def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
@@ -381,14 +437,26 @@ def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
     5e-10, so a score more than 1e-8 below the k-th largest raw score can
     never reach the top k; ``np.partition`` (``max`` when k is 1) finds
     that bound in linear time and only the scores above it are sorted.
+    For k = 1 nothing is sorted: rounding is monotone, so the best rounded
+    score is that of the largest raw score, its ties are the scores at or
+    above the smallest distinct value that rounds to it, and the smallest
+    key among them wins.
     """
     n = len(scores)
     if n > 4 * k:
         kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
-        candidates = np.flatnonzero(scores >= kth - 1e-8).tolist()
+        candidates = np.flatnonzero(scores >= kth - 1e-8)
     else:
-        candidates = range(n)
-    return sorted(candidates, key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
+        candidates = np.arange(n)
+    if k == 1 and len(candidates) > 1:
+        values = scores[candidates]
+        distinct = np.unique(values)
+        best = round(float(distinct[-1]), 9)
+        low = len(distinct) - 1
+        while low and round(float(distinct[low - 1]), 9) == best:
+            low -= 1
+        return [min(candidates[values >= distinct[low]].tolist(), key=keys.__getitem__)]
+    return sorted(candidates.tolist(), key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
 
 
 def write_json_atomic(path: str | Path, data) -> None:

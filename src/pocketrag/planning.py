@@ -16,7 +16,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from .app_index import AppMatch
 from .errors import PlannerFailureError, malformed
-from .simulator import Action, ActionStep, ScreenState
+from .simulator import Action, ActionStep, ScreenState, check_action_types
 
 DECISION_NEED_KNOWLEDGE = "need_knowledge"
 DECISION_SELECT_APP = "select_app"
@@ -111,8 +111,38 @@ class Reflector(Protocol):
         ...
 
 
+def check_script(script: Sequence[Mapping]) -> None:
+    """Raise PlannerFailureError naming the first script entry that holds a
+    value of the wrong type (``decision_from_script`` lists them).
+
+    Only types are checked, so a task file fails when it loads rather than
+    when a step reaches the value; an entry of an unknown kind, or an action
+    its kind does not allow, still fails when the planner reaches it.
+    """
+    for position, entry in enumerate(script):
+        with malformed(PlannerFailureError, f"script entry {position}"):
+            _check_entry_types(entry)
+
+
+def _check_entry_types(entry: Mapping) -> None:
+    query, entities = entry.get("query", ""), entry.get("entities", [])
+    if not isinstance(query, str):
+        raise ValueError(f"app query {query!r} is not a string")
+    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+        raise ValueError(f"entities {entities!r} are not a list of strings")
+    if "action" in entry:
+        check_action_types(entry["action"])
+
+
 def decision_from_script(entry: Mapping) -> PlannerDecision:
-    """Translate one task-script entry into a decision."""
+    """Translate one task-script entry into a decision.
+
+    Raises KeyError, TypeError or ValueError for a malformed entry: one of
+    an unknown kind or missing a field its kind needs, or one whose query is
+    not a string, whose entities are not a list of strings, or whose action
+    has a field of the wrong type (``check_action_types``).
+    """
+    _check_entry_types(entry)
     kind = entry["do"]
     if kind == DECISION_NEED_KNOWLEDGE:
         return PlannerDecision.need_knowledge(entry.get("entities", []))
@@ -133,24 +163,28 @@ class ScriptedPlanner:
     ``select_app`` entries may carry a ``pick`` (the package to confirm
     among retrieved candidates); without one, the top-ranked candidate is
     picked. ``pick_app`` confirms the pick of the latest ``select_app``
-    that ``plan`` returned, or of the script's first one before that.
+    that ``plan`` returned, or of the script's first one before that. The
+    script is translated once, here; a malformed entry raises
+    PlannerFailureError naming it.
     """
 
     def __init__(self, script: Sequence[Mapping]) -> None:
-        self._script = [dict(entry) for entry in script]
+        self._decisions = []
+        for position, entry in enumerate(script):
+            with malformed(PlannerFailureError, f"script entry {position}"):
+                self._decisions.append(decision_from_script(entry))
+        self._picks = [entry.get("pick") for entry in script]
         self._cursor = 0
-        selects = [e for e in self._script if e.get("do") == DECISION_SELECT_APP]
-        self._pick = selects[0].get("pick") if selects else None
+        selects = [i for i, d in enumerate(self._decisions) if d.kind == DECISION_SELECT_APP]
+        self._pick = self._picks[selects[0]] if selects else None
 
     def plan(self, context: PlannerContext) -> PlannerDecision:
-        if self._cursor >= len(self._script):
+        if self._cursor >= len(self._decisions):
             return PlannerDecision.finish(False, "script exhausted")
-        entry = self._script[self._cursor]
-        self._cursor += 1
-        with malformed(PlannerFailureError, f"script entry {self._cursor - 1}"):
-            decision = decision_from_script(entry)
+        decision = self._decisions[self._cursor]
         if decision.kind == DECISION_SELECT_APP:
-            self._pick = entry.get("pick")
+            self._pick = self._picks[self._cursor]
+        self._cursor += 1
         return decision
 
     def pick_app(self, app_query: str, candidates: Sequence[AppMatch]) -> str:

@@ -18,7 +18,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .app_index import AppIndex, AppSeed
 from .embedding import EmbedderBackend
@@ -163,6 +163,9 @@ class Action:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Action":
+        """Raises KeyError without a kind, and ValueError for a field of the
+        wrong type (``check_action_types``) or an action its kind does not allow."""
+        check_action_types(data)
         return cls(
             kind=data["kind"],
             target=data.get("target"),
@@ -171,6 +174,20 @@ class Action:
             package=data.get("package"),
             success=data.get("success"),
         )
+
+
+_ACTION_FIELD_TYPES = {
+    "kind": str, "target": str, "text": str, "direction": str, "package": str, "success": bool
+}
+
+
+def check_action_types(data: Mapping) -> None:
+    """Raise ValueError for a field of an action mapping that is set, not null,
+    and not of its type: a string, or a bool for ``success``."""
+    for name, kind in _ACTION_FIELD_TYPES.items():
+        value = data.get(name)
+        if value is not None and not isinstance(value, kind):
+            raise ValueError(f"action {name} {value!r} is not a {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -246,8 +263,14 @@ class Transition:
 
 @dataclass(frozen=True)
 class ScreenDef:
+    """One in-app screen: its elements, the set of their ids, and its edges."""
+
     elements: tuple[UiElement, ...]
     transitions: dict[str, Transition]
+    element_ids: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "element_ids", frozenset([e.element_id for e in self.elements]))
 
 
 @dataclass(frozen=True)
@@ -262,8 +285,15 @@ class Scenario:
 
     Installed apps, the downloadable store catalog, per-app screen graphs,
     the initial device state, and canned search fixtures for the knowledge
-    backend. The store catalog's ``AppIndex`` is built lazily, once per
-    scenario (see ``store_index``).
+    backend.
+
+    State that depends only on the scenario is built once and shared by
+    every ``Device`` and task run on it: the package-id maps of the two
+    catalogs (built by validation), the home grid of the installed apps
+    (``home_elements``, on first use) and the store catalog's ``AppIndex``
+    (``store_index``, on first use per backend and threshold). A device
+    copies the installed map and never writes to anything shared, so the
+    catalogs must not be changed after construction.
     """
 
     scenario_id: str
@@ -272,12 +302,23 @@ class Scenario:
     app_graphs: dict[str, AppGraph]
     initial_flags: dict[str, str] = field(default_factory=dict)
     search_fixtures: dict[str, list[dict[str, str]]] = field(default_factory=dict)
+    _installed: dict[str, AppSeed] = field(init=False, repr=False, compare=False)
+    _store: dict[str, AppSeed] = field(init=False, repr=False, compare=False)
+    _home: tuple[UiElement, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _store_indexes: dict[tuple[EmbedderBackend, float], AppIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         self._validate()
+
+    def home_elements(self) -> tuple[UiElement, ...]:
+        """The home grid of the installed apps, built on the first call."""
+        if self._home is None:
+            self._home = _home_grid(self._installed)
+        return self._home
 
     def store_index(self, backend: EmbedderBackend, threshold: float) -> AppIndex:
         """The store catalog indexed with ``backend`` at ``threshold``.
@@ -309,7 +350,7 @@ class Scenario:
             if seed.package_id in store:
                 raise ScenarioError(f"duplicate store package {seed.package_id}")
             store[seed.package_id] = seed
-        for pid in set(installed) & set(store):
+        for pid in installed.keys() & store.keys():
             if installed[pid] != store[pid]:
                 raise ScenarioError(
                     f"{pid} appears in both catalogs with different records"
@@ -323,11 +364,11 @@ class Scenario:
             for screen_id, screen in graph.screens.items():
                 if screen_id == HOME_SCREEN:
                     raise ScenarioError(f"{pid}: screen id {HOME_SCREEN!r} is reserved")
-                ids = [e.element_id for e in screen.elements]
-                if len(ids) != len(set(ids)):
+                if len(screen.element_ids) != len(screen.elements):
                     raise ScenarioError(f"{pid}/{screen_id}: duplicate element ids")
                 for key, transition in screen.transitions.items():
                     self._validate_transition_key(pid, screen_id, key)
+                    _check_flags(transition.flags, f"{pid}/{screen_id}: transition {key!r}")
                     if (
                         transition.next_screen is not None
                         and transition.next_screen not in graph.screens
@@ -336,6 +377,8 @@ class Scenario:
                             f"{pid}/{screen_id}: transition {key!r} leads to "
                             f"undefined screen {transition.next_screen!r}"
                         )
+        _check_flags(self.initial_flags.items(), "initial state")
+        self._installed, self._store = installed, store
 
     @staticmethod
     def _validate_transition_key(pid: str, screen_id: str, key: str) -> None:
@@ -391,7 +434,7 @@ class Scenario:
                 store_catalog=[AppSeed.from_dict(s) for s in data.get("store_catalog", [])],
                 app_graphs=graphs,
                 initial_flags=dict(initial.get("flags", {})),
-                search_fixtures={k: list(v) for k, v in fixtures.items()},
+                search_fixtures={key: _hits(hits) for key, hits in fixtures.items()},
             )
             fg = initial.get("foreground", HOME_PACKAGE)
             if fg != HOME_PACKAGE:
@@ -406,22 +449,40 @@ class Scenario:
         return cls.from_dict(data, base_dir=path.parent)
 
 
+def _check_flags(flags: Iterable[tuple[str, str]], where: str) -> None:
+    for flag, value in flags:
+        if type(value) is not str:
+            raise ScenarioError(f"{where} sets flag {flag!r} to the non-string {value!r}")
+
+
+def _hits(hits: Iterable) -> list[dict]:
+    """One fixture's search hits, raising TypeError unless each is an object."""
+    hits = list(hits)
+    for hit in hits:
+        if not isinstance(hit, Mapping):
+            raise TypeError(f"search fixture hit {hit!r} is not an object")
+    return hits
+
+
 class Device:
     """A running simulated phone, initialized from a scenario.
 
     Strictly sequential: one execute/observe at a time. The device keeps
     the full step history; its length always equals the number of execute
     calls that succeeded.
+
+    Per device: its own copy of the installed map, the foreground screen,
+    the back stack, the flags and the history. Read from the scenario and
+    shared: the store map, the screen graphs, and the scenario's home grid
+    until the first ``install_from_store``; after that the device builds its
+    own grid on the next home ``observe`` and keeps it.
     """
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self._installed: dict[str, AppSeed] = {
-            s.package_id: s for s in scenario.installed_apps
-        }
-        self._store: dict[str, AppSeed] = {
-            s.package_id: s for s in scenario.store_catalog
-        }
+        self._installed: dict[str, AppSeed] = dict(scenario._installed)
+        self._store: Mapping[str, AppSeed] = scenario._store
+        self._home: tuple[UiElement, ...] | None = None  # own grid, after an install
         self._foreground = HOME_PACKAGE
         self._screen_id = HOME_SCREEN
         self._stack: list[str] = []
@@ -434,6 +495,11 @@ class Device:
     @property
     def installed_packages(self) -> list[str]:
         return sorted(self._installed)
+
+    @property
+    def installed_ids(self) -> KeysView[str]:
+        """The installed package ids, as a live read-only set view."""
+        return self._installed.keys()
 
     @property
     def stopped(self) -> bool:
@@ -452,26 +518,25 @@ class Device:
             state_flags=dict(self._flags),
         )
 
-    def _current_elements(self) -> tuple[UiElement, ...]:
+    def has_element(self, element_id: str) -> bool:
+        """Whether the current screen shows ``element_id``, without observing it."""
         if self._foreground == HOME_PACKAGE:
-            return self._home_elements()
-        screen = self.scenario.app_graphs[self._foreground].screens[self._screen_id]
-        return screen.elements
+            return element_id.startswith("icon_") and element_id[5:] in self._installed
+        return element_id in self._screen().element_ids
 
-    def _home_elements(self) -> tuple[UiElement, ...]:
-        # one icon per installed app, laid out on a fixed grid
-        elements = []
-        for i, pid in enumerate(sorted(self._installed)):
-            col, row = i % 4, i // 4
-            elements.append(
-                UiElement(
-                    element_id=f"icon_{pid}",
-                    role="icon",
-                    text=self._installed[pid].app_name,
-                    bounds=(40 + col * 260, 120 + row * 300, 200, 240),
-                )
-            )
-        return tuple(elements)
+    def _screen(self) -> ScreenDef:
+        return self.scenario.app_graphs[self._foreground].screens[self._screen_id]
+
+    def _current_elements(self) -> tuple[UiElement, ...]:
+        if self._foreground != HOME_PACKAGE:
+            return self._screen().elements
+        if self._home is not None:
+            return self._home
+        # installs only add apps, so an unchanged count means the scenario's own set
+        if len(self._installed) == len(self.scenario._installed):
+            return self.scenario.home_elements()
+        self._home = _home_grid(self._installed)
+        return self._home
 
     # --- execution ---
 
@@ -547,11 +612,11 @@ class Device:
             self._stack = [entry]
 
     def _apply_graph_action(self, action: Action) -> dict[str, str]:
-        screen = self.scenario.app_graphs[self._foreground].screens[self._screen_id]
+        screen = self._screen()
         if action.kind == "swipe":
             key = f"swipe:{action.direction}"
         else:
-            if action.target not in {e.element_id for e in screen.elements}:
+            if action.target not in screen.element_ids:
                 return {}
             key = f"{action.kind}:{action.target}"
         transition = screen.transitions.get(key)
@@ -590,4 +655,18 @@ class Device:
             raise ScenarioError(f"store app {package_id} has no screen graph")
         seed = self._store[package_id]
         self._installed[package_id] = seed
+        self._home = None
         return seed
+
+
+def _home_grid(installed: Mapping[str, AppSeed]) -> tuple[UiElement, ...]:
+    """One icon per installed app, in package-id order, laid out on a fixed grid."""
+    return tuple(
+        UiElement(
+            element_id=f"icon_{pid}",
+            role="icon",
+            text=installed[pid].app_name,
+            bounds=(40 + i % 4 * 260, 120 + i // 4 * 300, 200, 240),
+        )
+        for i, pid in enumerate(sorted(installed))
+    )

@@ -298,15 +298,13 @@ def replay(record: MemoryRecord, device: Device) -> ReplayOutcome:
     steps = record.trace.steps
     for i, step in enumerate(steps):
         action = step.action
-        if action.kind in ("tap", "type"):
-            screen = device.observe()
-            if action.target not in screen.element_ids():
-                return ReplayOutcome(
-                    status=REPLAY_ABORTED,
-                    actions_executed=i,
-                    abort_index=i,
-                    reason=ABORT_MISSING_TARGET,
-                )
+        if action.kind in ("tap", "type") and not device.has_element(action.target):
+            return ReplayOutcome(
+                status=REPLAY_ABORTED,
+                actions_executed=i,
+                abort_index=i,
+                reason=ABORT_MISSING_TARGET,
+            )
         try:
             device.execute(action)
         except PocketRagError as exc:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocketrag.bench import BenchmarkTask
 from pocketrag.cli import main
@@ -417,6 +418,27 @@ def test_run_on_malformed_script_entry_exits_2(tmp_path, scenario_file, task_fil
     assert "script entry 0 is malformed" in capsys.readouterr().err
 
 
+def test_run_on_null_search_fixture_hit_exits_2(tmp_path, task_file, capsys):
+    data = mini_scenario_dict()
+    data["search_fixtures"]["weather tomorrow"] = [None]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="not an object"):
+        Scenario.from_dict(data)
+    assert main(["run", "--scenario", str(scenario_path), "--task", str(task_file)]) == 2
+    assert "scenario is malformed" in capsys.readouterr().err
+
+
+def test_run_on_list_action_target_exits_2(tmp_path, scenario_file, task_file, capsys):
+    task = json.loads(task_file.read_text())
+    task["script"][1]["action"]["target"] = [None]
+    task_file.write_text(json.dumps(task))
+    with pytest.raises(PlannerFailureError, match="script entry 1"):
+        BenchmarkTask.from_dict(task)
+    assert main(["run", "--scenario", str(scenario_file), "--task", str(task_file)]) == 2
+    assert "script entry 1 is malformed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -540,3 +562,38 @@ def test_no_manifest_crashes_pack_validate_or_bench(cli_world, key, value):
             assert main(command.split() + ["--pack", str(cli_world["pack"])]) in (0, 1, 2)
     finally:
         path.write_text(original)
+
+
+def nested_paths(value, path=()):
+    """The path of every value nested inside ``value`` (not ``value`` itself)."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from nested_paths(child, path + (key,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+NESTED_FILES = {"scenario": mini_scenario_dict(), "task": TASK}
+
+
+@pytest.mark.parametrize("command", sorted(NESTED_FILES))
+@settings(max_examples=60)
+@given(data=st.data(), value=json_values())
+def test_no_nested_value_crashes_the_cli(cli_world, command, data, value):
+    valid = NESTED_FILES[command]
+    path = data.draw(st.sampled_from(sorted(nested_paths(valid), key=repr)))
+    argument, template = FILE_COMMANDS[command]
+    file = cli_world[argument]
+    original = file.read_bytes()
+    file.write_text(json.dumps(replaced(valid, path, value)))
+    try:
+        assert main(_argv(template, cli_world)) in (0, 1, 2)
+    finally:
+        file.write_bytes(original)
