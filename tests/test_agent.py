@@ -18,7 +18,7 @@ from pocketrag.app_index import AppIndex
 from pocketrag.embedding import HashedTokenEmbedder
 from pocketrag.errors import NoAppAnywhereError, ScenarioMismatchError
 from pocketrag.planning import EffectReflector, ScriptedPlanner
-from pocketrag.simulator import Device, Scenario
+from pocketrag.simulator import Device, Scenario, UiElement
 from pocketrag.task_memory import MemoryStore
 from pocketrag.web_search import FixtureSearchBackend
 
@@ -531,3 +531,30 @@ def test_unembeddable_app_query_is_no_app_anywhere(backend, text):
     assert run.outcome == "failure"
     assert run.app_selections == ()
     assert {"event": "retrieval", "stage": "apps", "query": text, "found": False} in run.events
+
+
+def test_two_runs_on_one_scenario_build_its_home_grid_once(backend, monkeypatch):
+    # the home grid belongs to the scenario: a second task run, on a new
+    # device of the same scenario, observes home without building one icon
+    scenario, index, _, search = build_world(backend)
+    built = []
+    check = UiElement.__post_init__
+
+    def counted(self):
+        built.append(self.element_id)
+        check(self)
+
+    monkeypatch.setattr(UiElement, "__post_init__", counted)
+    for _ in range(2):
+        run = run_task(
+            instruction="Set an alarm for 8 am.",
+            scenario=scenario,
+            index=index,
+            memory=MemoryStore(backend),  # empty, so both runs plan from the home screen
+            search_backend=search,
+            planner=ScriptedPlanner(ALARM_SCRIPT),
+            reflector=EffectReflector(),
+            config=CONFIG,
+        )
+        assert run.outcome == "success"
+    assert built == ["icon_com.clock", "icon_com.notes"]

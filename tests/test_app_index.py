@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pocketrag.app_index import (
     AppIndex,
+    AppRecord,
     AppSeed,
     KeywordQuerySource,
     NONE_SENTINEL,
@@ -20,7 +21,7 @@ from pocketrag.app_index import (
     load_corpus,
     write_corpus,
 )
-from pocketrag.embedding import HashedTokenEmbedder, embed, embed_row
+from pocketrag.embedding import EmbeddingVector, HashedTokenEmbedder, embed, embed_row
 from pocketrag.errors import (
     ConflictingRecordError,
     DuplicatePackageIdError,
@@ -506,3 +507,46 @@ def test_training_example_invariants():
         TrainingExample(query="q", positive="com.a", negatives=("com.a",))
     with pytest.raises(ValueError):
         TrainingExample(query="q", positive=NONE_SENTINEL, negatives=(), is_none_case=False)
+
+
+class AngleBackend:
+    """Embeds the text of a number as the 2-D unit vector at that angle."""
+
+    name = "angle"
+    dimension = 2
+
+    def encode(self, text):
+        return np.array([np.cos(float(text)), np.sin(float(text))])
+
+
+# equal angles give exact ties, angles 1e-9 apart ties after rounding to 9
+# decimals, or scores either side of a rounding step
+NEAR_TIES = [1.0, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 2e-9, 1.2, 2.0, 3.0]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(NEAR_TIES), min_size=1, max_size=40),
+    st.sampled_from([0.0, 0.3, 1.0, 1.0 + 1e-9, 2.5]),
+    st.sampled_from([0.5, 0.9, 0.999999]),
+)
+def test_rejected_retrieve_reports_the_oracle_best_score(angles, query_angle, threshold):
+    backend = AngleBackend()
+    records = [
+        AppRecord(f"A{i}", f"com.p{i:03d}", "app", EmbeddingVector(backend.encode(angle)))
+        for i, angle in enumerate(angles)
+    ]
+    index = AppIndex(backend, threshold, records)
+    query = embed_row(backend, repr(query_angle))
+    # the exhaustive-sort oracle: every record's 1-D dot, rounded score descending, then id
+    scored = sorted(
+        ((float(query @ r.embedding.values), r.package_id) for r in records),
+        key=lambda item: (-round(item[0], 9), item[1]),
+    )
+    outcome = index.retrieve(repr(query_angle), k=3)
+    assert outcome.best_score == scored[0][0]
+    assert outcome.found == (scored[0][0] >= threshold)
+    if outcome.found:
+        assert [(m.package_id, m.score) for m in outcome.matches] == [
+            (pid, score) for score, pid in scored[:3]
+        ]

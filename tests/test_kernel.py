@@ -165,6 +165,56 @@ def test_rows_reject_a_stored_key():
         rows.remove("missing")
 
 
+def test_extend_rejects_a_repeated_or_stored_key_and_stores_nothing():
+    rows, mirror = rows_and_mirror(3)
+    for keys in (["new", "new"], ["new", "key00001"]):
+        with pytest.raises(KeyError):
+            rows.extend(keys, [np.ones(4)] * len(keys))
+        assert_store_matches(rows, mirror)
+
+
+batches = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(st.integers(0, 19), max_size=14), st.integers(0, 8)),
+        st.tuples(st.just("remove"), st.lists(st.integers(0, 19), max_size=10)),
+        st.tuples(st.just("search"), st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.integers(1, 8)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200)
+@given(batches)
+def test_extend_equals_one_add_per_row(ops):
+    # blocks of 4 rows: a batch of up to 14 keys starts mid-block, fills whole
+    # blocks that go straight to the transposed layout, and refills blocks
+    # that removals emptied, in both layouts
+    original = embedding._BLOCK_ROWS
+    embedding._BLOCK_ROWS = 4
+    try:
+        batched, single = VectorRows(2), VectorRows(2)
+        for op in ops:
+            if op[0] == "add":
+                keys = [f"k{i:02d}" for i in dict.fromkeys(op[1]) if f"k{i:02d}" not in single._row_of]
+                vectors = [unit(op[2] + 0.25 * i) for i in range(len(keys))]
+                batched.extend(keys, vectors)
+                for key, vector in zip(keys, vectors):
+                    single.add(key, vector)
+            elif op[0] == "remove":
+                for key in sorted({f"k{i:02d}" for i in op[1]} & single._row_of.keys()):
+                    batched.remove(key)
+                    single.remove(key)
+            else:
+                query = unit(op[1])
+                assert batched.search(query, op[2]) == single.search(query, op[2])
+            assert batched._keys == single._keys
+            assert batched._transposed == single._transposed
+            for key in single._keys:
+                assert np.array_equal(batched.vector(key), single.vector(key))
+    finally:
+        embedding._BLOCK_ROWS = original
+
+
 # unit vectors at these angles: equal angles give exactly tied scores, and
 # angles 1e-9 apart give scores about 5e-10 to 1e-9 apart, on either side
 # of a 9th-decimal rounding step

@@ -419,3 +419,44 @@ def test_replaying_a_stopped_trace_reproduces_flags_and_screen(count, success, d
     assert outcome.actions_executed == len(trace)
     assert fresh.history == device.history
     assert fresh.observe() == device.observe()
+
+
+def store_world() -> Scenario:
+    """Six installed apps and eight store apps, each with a one-screen graph."""
+
+    def seed(prefix, i):
+        return {"name": f"{prefix.title()} {i}", "package_id": f"com.{prefix}{i}",
+                "description": f"{prefix} app number {i}"}
+
+    installed = [seed("local", i) for i in range(6)]
+    store = [seed("store", i) for i in range(8)]
+    graph = {"entry": "main", "screens": {"main": {"elements": [{"element_id": "go", "role": "button"}]}}}
+    return Scenario.from_dict({
+        "scenario_id": "store-world",
+        "installed_apps": installed,
+        "store_catalog": store,
+        "app_graphs": {app["package_id"]: graph for app in installed + store},
+    })
+
+
+def home_of(scenario: Scenario, installed: list) -> tuple[UiElement, ...]:
+    """The home screen of a new device on a copy of ``scenario`` with ``installed`` preinstalled."""
+    copy = Scenario(scenario.scenario_id, installed, scenario.store_catalog, scenario.app_graphs)
+    return Device(copy).observe().elements
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7) | st.none()), max_size=14))
+def test_home_reflects_each_devices_own_installs(ops):
+    # ops: (device, store app to install, or None to observe only)
+    scenario = store_world()
+    devices = [Device(scenario), Device(scenario)]
+    installed = [list(scenario.installed_apps), list(scenario.installed_apps)]
+    for which, store_app in ops:
+        if store_app is not None:
+            seed = devices[which].install_from_store(f"com.store{store_app}")
+            if seed not in installed[which]:
+                installed[which].append(seed)
+        for device, apps in zip(devices, installed):
+            assert device.observe().elements == home_of(scenario, apps)
+    assert Device(scenario).observe().elements == home_of(scenario, scenario.installed_apps)
