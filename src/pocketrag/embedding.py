@@ -437,26 +437,28 @@ def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
     5e-10, so a score more than 1e-8 below the k-th largest raw score can
     never reach the top k; ``np.partition`` (``max`` when k is 1) finds
     that bound in linear time and only the scores above it are sorted.
-    For k = 1 nothing is sorted: rounding is monotone, so the best rounded
-    score is that of the largest raw score, its ties are the scores at or
-    above the smallest distinct value that rounds to it, and the smallest
-    key among them wins.
+
+    For k = 1 the candidates are not sorted, since they may be hundreds of
+    exact ties (a query that shares no token with most rows scores 0.0 on
+    them all). Rounding is monotone, so the best rounded score is that of
+    the largest candidate, its ties are the candidates at or above the
+    smallest distinct value that rounds to it, and the smallest key among
+    them wins; only distinct values are rounded.
     """
     n = len(scores)
-    if n > 4 * k:
-        kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
-        candidates = np.flatnonzero(scores >= kth - 1e-8)
+    if n <= 4 * k:
+        candidates = list(range(n))
     else:
-        candidates = np.arange(n)
-    if k == 1 and len(candidates) > 1:
-        values = scores[candidates]
-        distinct = np.unique(values)
-        best = round(float(distinct[-1]), 9)
-        low = len(distinct) - 1
-        while low and round(float(distinct[low - 1]), 9) == best:
-            low -= 1
-        return [min(candidates[values >= distinct[low]].tolist(), key=keys.__getitem__)]
-    return sorted(candidates.tolist(), key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
+        kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
+        positions = np.flatnonzero(scores >= kth - 1e-8)
+        if k == 1 and len(positions) > 1:
+            values = scores[positions]
+            rounded = {value: round(value, 9) for value in set(values.tolist())}
+            best = max(rounded.values())
+            low = min(value for value, r in rounded.items() if r == best)
+            return [min(positions[values >= low].tolist(), key=keys.__getitem__)]
+        candidates = positions.tolist()
+    return sorted(candidates, key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
 
 
 def write_json_atomic(path: str | Path, data) -> None:

@@ -113,11 +113,13 @@ class Reflector(Protocol):
 
 def check_script(script: Sequence[Mapping]) -> None:
     """Raise PlannerFailureError naming the first script entry that holds a
-    value of the wrong type (``decision_from_script`` lists them).
+    value of the wrong type: a query that is not a string, entities that are
+    not a list of strings, or an action field (``check_action_types``).
 
-    Only types are checked, so a task file fails when it loads rather than
-    when a step reaches the value; an entry of an unknown kind, or an action
-    its kind does not allow, still fails when the planner reaches it.
+    Only types are checked, once, when a task loads, so that a wrong type
+    fails the load rather than the step that reaches it; an entry of an
+    unknown kind, or an action its kind does not allow, still fails when
+    the planner reaches it.
     """
     for position, entry in enumerate(script):
         with malformed(PlannerFailureError, f"script entry {position}"):
@@ -137,12 +139,9 @@ def _check_entry_types(entry: Mapping) -> None:
 def decision_from_script(entry: Mapping) -> PlannerDecision:
     """Translate one task-script entry into a decision.
 
-    Raises KeyError, TypeError or ValueError for a malformed entry: one of
-    an unknown kind or missing a field its kind needs, or one whose query is
-    not a string, whose entities are not a list of strings, or whose action
-    has a field of the wrong type (``check_action_types``).
+    Checks only what translation needs (``Action.from_dict`` checks an
+    action's types); ``check_script`` checks the rest once, when a task loads.
     """
-    _check_entry_types(entry)
     kind = entry["do"]
     if kind == DECISION_NEED_KNOWLEDGE:
         return PlannerDecision.need_knowledge(entry.get("entities", []))
@@ -163,28 +162,24 @@ class ScriptedPlanner:
     ``select_app`` entries may carry a ``pick`` (the package to confirm
     among retrieved candidates); without one, the top-ranked candidate is
     picked. ``pick_app`` confirms the pick of the latest ``select_app``
-    that ``plan`` returned, or of the script's first one before that. The
-    script is translated once, here; a malformed entry raises
-    PlannerFailureError naming it.
+    that ``plan`` returned, or of the script's first one before that.
     """
 
     def __init__(self, script: Sequence[Mapping]) -> None:
-        self._decisions = []
-        for position, entry in enumerate(script):
-            with malformed(PlannerFailureError, f"script entry {position}"):
-                self._decisions.append(decision_from_script(entry))
-        self._picks = [entry.get("pick") for entry in script]
+        self._script = [dict(entry) for entry in script]
         self._cursor = 0
-        selects = [i for i, d in enumerate(self._decisions) if d.kind == DECISION_SELECT_APP]
-        self._pick = self._picks[selects[0]] if selects else None
+        selects = [e for e in self._script if e.get("do") == DECISION_SELECT_APP]
+        self._pick = selects[0].get("pick") if selects else None
 
     def plan(self, context: PlannerContext) -> PlannerDecision:
-        if self._cursor >= len(self._decisions):
+        if self._cursor >= len(self._script):
             return PlannerDecision.finish(False, "script exhausted")
-        decision = self._decisions[self._cursor]
-        if decision.kind == DECISION_SELECT_APP:
-            self._pick = self._picks[self._cursor]
+        entry = self._script[self._cursor]
         self._cursor += 1
+        with malformed(PlannerFailureError, f"script entry {self._cursor - 1}"):
+            decision = decision_from_script(entry)
+        if decision.kind == DECISION_SELECT_APP:
+            self._pick = entry.get("pick")
         return decision
 
     def pick_app(self, app_query: str, candidates: Sequence[AppMatch]) -> str:

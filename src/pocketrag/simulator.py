@@ -13,6 +13,7 @@ benchmark reports reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -263,14 +264,19 @@ class Transition:
 
 @dataclass(frozen=True)
 class ScreenDef:
-    """One in-app screen: its elements, the set of their ids, and its edges."""
+    """One in-app screen: its elements and its edges.
+
+    ``element_ids`` is built on first use and kept, so a tap tests its target
+    with one lookup; a store-sized scenario holds thousands of screens that
+    no task visits, and those never build it.
+    """
 
     elements: tuple[UiElement, ...]
     transitions: dict[str, Transition]
-    element_ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "element_ids", frozenset([e.element_id for e in self.elements]))
+    @functools.cached_property
+    def element_ids(self) -> frozenset[str]:
+        return frozenset([e.element_id for e in self.elements])
 
 
 @dataclass(frozen=True)
@@ -364,7 +370,8 @@ class Scenario:
             for screen_id, screen in graph.screens.items():
                 if screen_id == HOME_SCREEN:
                     raise ScenarioError(f"{pid}: screen id {HOME_SCREEN!r} is reserved")
-                if len(screen.element_ids) != len(screen.elements):
+                ids = [e.element_id for e in screen.elements]
+                if len(ids) != len(set(ids)):
                     raise ScenarioError(f"{pid}/{screen_id}: duplicate element ids")
                 for key, transition in screen.transitions.items():
                     self._validate_transition_key(pid, screen_id, key)

@@ -11,6 +11,13 @@ in the shared keyed store (``VectorRows``); records themselves carry no
 vector. A non-exact lookup is one ``search`` of that store for the best
 key; its score is one 1-D dot product, so routing and the reported score
 do not depend on where the vector sits.
+
+The store keeps a record's scalar fields as a plain tuple of strings and
+numbers, which the cyclic garbage collector stops tracking after its first
+pass, and its trace in a separate dict; the ``MemoryRecord`` that
+``lookup``, ``records`` and ``commit`` return is built on demand. So the
+collector does not walk thousands of record objects on every young
+collection, as it would if each record were a ``MemoryRecord`` instance.
 """
 
 from __future__ import annotations
@@ -135,27 +142,37 @@ class MemoryStore:
         return len(self._records)
 
     def records(self) -> list[MemoryRecord]:
-        return [self._records[key] for key in sorted(self._records)]
+        return [self._record(key) for key in sorted(self._records)]
 
     def clear(self) -> None:
-        self._records: dict[str, MemoryRecord] = {}
+        # normalized query -> (query_text, created_at, success_count, seq)
+        self._records: dict[str, tuple[str, float, int, int]] = {}
+        self._traces: dict[str, ActionTrace] = {}
         self._rows = VectorRows(self.backend.dimension)
+
+    def _record(self, key: str) -> MemoryRecord:
+        query_text, created_at, success_count, seq = self._records[key]
+        return MemoryRecord(query_text, key, self._traces[key], created_at, success_count, seq)
+
+    def _keep(self, record: MemoryRecord) -> None:
+        key = record.normalized_query
+        self._records[key] = (record.query_text, record.created_at, record.success_count, record.seq)
+        self._traces[key] = record.trace
 
     def lookup(self, query: str) -> MemoryMatch:
         """Route a query: exact key match, best similar >= threshold, or none."""
         if not query.strip():
             raise EmptyQueryError("memory lookup query is empty")
         key = normalize_text(query)
-        record = self._records.get(key)
-        if record is not None:
-            return MemoryMatch(kind=MATCH_EXACT, record=record)
+        if key in self._records:
+            return MemoryMatch(kind=MATCH_EXACT, record=self._record(key))
         if not self._records:
             return MemoryMatch(kind=MATCH_NONE)
         ((best, score),) = self._rows.search(embed_row(self.backend, query), 1)
         if score >= self.threshold:
             return MemoryMatch(
                 kind=MATCH_SIMILAR,
-                record=self._records[best],
+                record=self._record(best),
                 score=min(1.0, score),
             )
         return MemoryMatch(kind=MATCH_NONE)
@@ -173,16 +190,9 @@ class MemoryStore:
         if not trace.ends_with_stop:
             raise TraceWithoutStopError("committed traces must end with stop")
         key = normalize_text(query)
-        existing = self._records.get(key)
-        if existing is not None:
-            record = MemoryRecord(
-                query_text=existing.query_text,
-                normalized_query=key,
-                trace=trace,
-                created_at=existing.created_at,
-                success_count=existing.success_count + 1,
-                seq=existing.seq,
-            )
+        if key in self._records:
+            query_text, created_at, success_count, seq = self._records[key]
+            record = MemoryRecord(query_text, key, trace, created_at, success_count + 1, seq)
         else:
             row = embed_row(self.backend, query)
             record = MemoryRecord(
@@ -195,7 +205,7 @@ class MemoryStore:
             )
             self._next_seq += 1
             self._rows.add(key, row)
-        self._records[key] = record
+        self._keep(record)
         self._evict_overflow()
         return record
 
@@ -203,11 +213,10 @@ class MemoryStore:
         if self.capacity is None:
             return
         while len(self._records) > self.capacity:
-            oldest = min(
-                self._records.values(), key=lambda r: (r.created_at, r.seq)
-            )
-            del self._records[oldest.normalized_query]
-            self._rows.remove(oldest.normalized_query)
+            # (created_at, seq) of each record: fields 1 and 3
+            oldest = min(self._records, key=lambda k: self._records[k][1::2])
+            del self._records[oldest], self._traces[oldest]
+            self._rows.remove(oldest)
 
     # --- persistence ---
 
@@ -281,7 +290,7 @@ class MemoryStore:
                         f"memory record {record.normalized_query!r} has dimension "
                         f"{vector.dimension}, backend produces {backend.dimension}"
                     )
-                store._records[record.normalized_query] = record
+                store._keep(record)
                 store._rows.add(record.normalized_query, vector.values)
                 max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
