@@ -489,7 +489,7 @@ class Device:
         self.scenario = scenario
         self._installed: dict[str, AppSeed] = dict(scenario._installed)
         self._store: Mapping[str, AppSeed] = scenario._store
-        self._home: tuple[UiElement, ...] | None = None  # own grid, after an install
+        self._home: tuple[UiElement, ...] | None = None  # built on the next home observe
         self._foreground = HOME_PACKAGE
         self._screen_id = HOME_SCREEN
         self._stack: list[str] = []
@@ -537,12 +537,10 @@ class Device:
     def _current_elements(self) -> tuple[UiElement, ...]:
         if self._foreground != HOME_PACKAGE:
             return self._screen().elements
-        if self._home is not None:
-            return self._home
-        # installs only add apps, so an unchanged count means the scenario's own set
-        if len(self._installed) == len(self.scenario._installed):
-            return self.scenario.home_elements()
-        self._home = _home_grid(self._installed)
+        if self._home is None:
+            # installs only add apps: while the count is the scenario's, so is the set
+            unchanged = len(self._installed) == len(self.scenario._installed)
+            self._home = self.scenario.home_elements() if unchanged else _home_grid(self._installed)
         return self._home
 
     # --- execution ---
