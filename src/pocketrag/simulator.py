@@ -500,10 +500,6 @@ class Device:
     # --- observation ---
 
     @property
-    def installed_packages(self) -> list[str]:
-        return sorted(self._installed)
-
-    @property
     def installed_ids(self) -> KeysView[str]:
         """The installed package ids, as a live read-only set view."""
         return self._installed.keys()
