@@ -5,6 +5,10 @@ outside input (a config, catalog, index, memory, scenario, task, run-log or
 manifest file, or a planner script) has the wrong shape.
 """
 
+from __future__ import annotations
+
+from typing import Callable
+
 
 class PocketRagError(Exception):
     """Base class for all package-specific errors."""
@@ -13,9 +17,12 @@ class PocketRagError(Exception):
 class malformed:
     """Re-raise ``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError``
     (``JSONDecodeError`` and ``UnicodeDecodeError`` included) from the block as
-    ``error_class(f"{where} is malformed: {exc!r}")``; all else passes through."""
+    ``error_class(f"{where} is malformed: {exc!r}")``; all else passes through.
 
-    def __init__(self, error_class: type[PocketRagError], where: str) -> None:
+    ``where`` may be a function of no arguments, called only on an error, so
+    that one guard around a loop can name the item that failed."""
+
+    def __init__(self, error_class: type[PocketRagError], where: str | Callable[[], str]) -> None:
         self.error_class = error_class
         self.where = where
 
@@ -24,7 +31,8 @@ class malformed:
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         if isinstance(exc, (KeyError, TypeError, AttributeError, ValueError)):
-            raise self.error_class(f"{self.where} is malformed: {exc!r}") from exc
+            where = self.where() if callable(self.where) else self.where
+            raise self.error_class(f"{where} is malformed: {exc!r}") from exc
 
 
 # --- embedding ---

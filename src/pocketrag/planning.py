@@ -121,19 +121,22 @@ def check_script(script: Sequence[Mapping]) -> None:
     unknown kind, or an action its kind does not allow, still fails when
     the planner reaches it.
     """
-    for position, entry in enumerate(script):
-        with malformed(PlannerFailureError, f"script entry {position}"):
+    position = 0
+    with malformed(PlannerFailureError, lambda: f"script entry {position}"):
+        for position, entry in enumerate(script):
             _check_entry_types(entry)
 
 
 def _check_entry_types(entry: Mapping) -> None:
-    query, entities = entry.get("query", ""), entry.get("entities", [])
-    if not isinstance(query, str):
-        raise ValueError(f"app query {query!r} is not a string")
-    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
-        raise ValueError(f"entities {entities!r} are not a list of strings")
-    if "action" in entry:
-        check_action_types(entry["action"])
+    for name, value in entry.items():
+        if name == "query" and not isinstance(value, str):
+            raise ValueError(f"app query {value!r} is not a string")
+        if name == "entities" and not (
+            isinstance(value, list) and all(isinstance(e, str) for e in value)
+        ):
+            raise ValueError(f"entities {value!r} are not a list of strings")
+        if name == "action":
+            check_action_types(value)
 
 
 def decision_from_script(entry: Mapping) -> PlannerDecision:

@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 HOME_PACKAGE = "home"
 HOME_SCREEN = "home"
+ICON_PREFIX = "icon_"  # a home icon's element id is this prefix and its package id
 
 ELEMENT_ROLES = ("button", "text_field", "list_item", "icon", "label")
 SWIPE_DIRECTIONS = ("up", "down", "left", "right")
@@ -185,9 +186,9 @@ _ACTION_FIELD_TYPES = {
 def check_action_types(data: Mapping) -> None:
     """Raise ValueError for a field of an action mapping that is set, not null,
     and not of its type: a string, or a bool for ``success``."""
-    for name, kind in _ACTION_FIELD_TYPES.items():
-        value = data.get(name)
-        if value is not None and not isinstance(value, kind):
+    for name, value in data.items():
+        kind = _ACTION_FIELD_TYPES.get(name)
+        if kind is not None and value is not None and not isinstance(value, kind):
             raise ValueError(f"action {name} {value!r} is not a {kind.__name__}")
 
 
@@ -375,7 +376,12 @@ class Scenario:
                     raise ScenarioError(f"{pid}/{screen_id}: duplicate element ids")
                 for key, transition in screen.transitions.items():
                     self._validate_transition_key(pid, screen_id, key)
-                    _check_flags(transition.flags, f"{pid}/{screen_id}: transition {key!r}")
+                    for flag, value in transition.flags:
+                        if type(value) is not str:
+                            raise ScenarioError(
+                                f"{pid}/{screen_id}: transition {key!r} sets flag "
+                                f"{flag!r} to the non-string {value!r}"
+                            )
                     if (
                         transition.next_screen is not None
                         and transition.next_screen not in graph.screens
@@ -384,7 +390,9 @@ class Scenario:
                             f"{pid}/{screen_id}: transition {key!r} leads to "
                             f"undefined screen {transition.next_screen!r}"
                         )
-        _check_flags(self.initial_flags.items(), "initial state")
+        for flag, value in self.initial_flags.items():
+            if type(value) is not str:
+                raise ScenarioError(f"initial flag {flag!r} has the non-string value {value!r}")
         self._installed, self._store = installed, store
 
     @staticmethod
@@ -456,12 +464,6 @@ class Scenario:
         return cls.from_dict(data, base_dir=path.parent)
 
 
-def _check_flags(flags: Iterable[tuple[str, str]], where: str) -> None:
-    for flag, value in flags:
-        if type(value) is not str:
-            raise ScenarioError(f"{where} sets flag {flag!r} to the non-string {value!r}")
-
-
 def _hits(hits: Iterable) -> list[dict]:
     """One fixture's search hits, raising TypeError unless each is an object."""
     hits = list(hits)
@@ -513,7 +515,7 @@ class Device:
         return len(self.history)
 
     def observe(self) -> ScreenState:
-        """Return the current screen by value; never mutates the device."""
+        """Return the current screen by value; never changes what the device shows."""
         return ScreenState(
             foreground_package=self._foreground,
             screen_id=self._screen_id,
@@ -524,7 +526,10 @@ class Device:
     def has_element(self, element_id: str) -> bool:
         """Whether the current screen shows ``element_id``, without observing it."""
         if self._foreground == HOME_PACKAGE:
-            return element_id.startswith("icon_") and element_id[5:] in self._installed
+            return (
+                element_id.startswith(ICON_PREFIX)
+                and element_id[len(ICON_PREFIX) :] in self._installed
+            )
         return element_id in self._screen().element_ids
 
     def _screen(self) -> ScreenDef:
@@ -603,9 +608,9 @@ class Device:
 
     def _apply_home_tap(self, action: Action) -> None:
         target = action.target or ""
-        if not target.startswith("icon_"):
+        if not target.startswith(ICON_PREFIX):
             return
-        package = target[len("icon_") :]
+        package = target[len(ICON_PREFIX) :]
         if package in self._installed:
             entry = self.scenario.app_graphs[package].entry
             self._foreground = package
@@ -664,7 +669,7 @@ def _home_grid(installed: Mapping[str, AppSeed]) -> tuple[UiElement, ...]:
     """One icon per installed app, in package-id order, laid out on a fixed grid."""
     return tuple(
         UiElement(
-            element_id=f"icon_{pid}",
+            element_id=ICON_PREFIX + pid,
             role="icon",
             text=installed[pid].app_name,
             bounds=(40 + i % 4 * 260, 120 + i // 4 * 300, 200, 240),
