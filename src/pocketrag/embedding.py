@@ -390,14 +390,13 @@ class VectorRows:
         return float(query @ np.ascontiguousarray(self._row(row)))
 
     def search(
-        self, query: np.ndarray, k: int, floor: float = -math.inf
+        self, query: np.ndarray, k: int, floor: float | None = None
     ) -> list[tuple[str, float]]:
         """The ``k`` best keys for ``query`` with their 1-D dot products, ranked
         by ``top_k`` over those products, though only a few are computed.
 
-        When every score is more than 1e-8 below ``floor``, no hit can reach
-        it and only the best one is ranked and returned: a caller that
-        rejects such a query needs no more.
+        ``floor``, when given, is the score below which the caller rejects
+        the query; see ``top_k``.
         """
         n = len(self._keys)
         if not n:
@@ -414,9 +413,8 @@ class VectorRows:
         scaled -= np.rint(scaled)
         for row in np.flatnonzero(np.abs(scaled) >= 0.5 - self._margin).tolist():
             scores[row] = self._dot(query, row)
-        if scores.max() < floor - 1e-8:
-            k = 1
-        return [(self._keys[row], self._dot(query, row)) for row in top_k(scores, self._keys, k)]
+        ranked = top_k(scores, self._keys, k, floor)
+        return [(self._keys[row], self._dot(query, row)) for row in ranked]
 
 
 def _transposed_block(rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
@@ -429,7 +427,9 @@ def _transposed_block(rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
     return block
 
 
-def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
+def top_k(
+    scores: np.ndarray, keys: Sequence[str], k: int, floor: float | None = None
+) -> list[int]:
     """Positions of the ``k`` best scores: rounded score descending, then key.
 
     Equals ``sorted(range(n), key=lambda i: (-round(float(scores[i]), 9),
@@ -437,6 +437,10 @@ def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
     5e-10, so a score more than 1e-8 below the k-th largest raw score can
     never reach the top k; ``np.partition`` (``max`` when k is 1) finds
     that bound in linear time and only the scores above it are sorted.
+
+    When ``floor`` is given and every score is more than 1e-8 below it, no
+    position can reach it, and above 4k scores only the best one is ranked
+    and returned: a caller that rejects the query needs no more.
 
     For k = 1 the candidates are not sorted, since they may be hundreds of
     exact ties (a query that shares no token with most rows scores 0.0 on
@@ -449,7 +453,10 @@ def top_k(scores: np.ndarray, keys: Sequence[str], k: int) -> list[int]:
     if n <= 4 * k:
         candidates = list(range(n))
     else:
-        kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
+        top = scores.max()
+        if floor is not None and top < floor - 1e-8:
+            k = 1
+        kth = top if k == 1 else np.partition(scores, n - k)[n - k]
         positions = np.flatnonzero(scores >= kth - 1e-8)
         if k == 1 and len(positions) > 1:
             values = scores[positions]

@@ -45,7 +45,11 @@ def scored_keys(draw):
 @given(scored_keys())
 def test_top_k_equals_full_sort(case):
     scores, keys, k = case
-    assert top_k(scores, keys, k) == full_sort(scores, keys, k)
+    expected = full_sort(scores, keys, k)
+    assert top_k(scores, keys, k) == expected
+    assert top_k(scores, keys, k, floor=-2.0) == expected
+    # every score is below a floor of 2: above 4k scores only the best is ranked
+    assert top_k(scores, keys, k, floor=2.0) == (expected[:1] if len(scores) > 4 * k else expected)
 
 
 def test_top_k_breaks_exact_ties_by_key():
