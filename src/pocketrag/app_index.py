@@ -145,12 +145,11 @@ class AppIndex:
         self._records: dict[str, _Entry] = {}
         self._rows = VectorRows(backend.dimension)
         records = list(records)
-        if records:
-            self._insert(
-                [_Entry(AppSeed(r.app_name, r.package_id, r.description), r.installed, r.source)
-                 for r in records],
-                [r.embedding for r in records],
-            )
+        self._insert(
+            [_Entry(AppSeed(r.app_name, r.package_id, r.description), r.installed, r.source)
+             for r in records],
+            [r.embedding for r in records],
+        )
 
     @classmethod
     def build(

@@ -330,38 +330,30 @@ class VectorRows:
         self._keys.append(key)
 
     def extend(self, keys: Sequence[str], rows: Sequence[np.ndarray]) -> None:
-        """Store ``rows[i]`` under ``keys[i]``, as ``add`` would one at a time.
+        """Store ``rows[i]`` under ``keys[i]``, as ``add`` would one at a time,
+        writing a block slice per step instead of a row per call.
 
-        Writes a block slice per step instead of a row per call; a block that
-        the call fills from its first row is written straight into its
-        transposed layout. Raises KeyError, storing nothing, when a key is
-        repeated or already stored.
+        Every block it writes must still be open: it raises ValueError after
+        removals have emptied rows of a transposed block, which no current
+        caller does (``AppIndex`` never removes). Raises KeyError when a key
+        is repeated or already stored. Either error stores nothing.
         """
         keys = list(keys)
         if len(set(keys)) != len(keys) or not self._row_of.keys().isdisjoint(keys):
             raise KeyError("a key is given twice or is already stored")
         first = len(self._keys)
+        if first < self._transposed * _BLOCK_ROWS:
+            raise ValueError("extend writes only open blocks; use add after removals")
         start = 0
         while start < len(keys):
             block, offset = divmod(first + start, _BLOCK_ROWS)
             stop = min(len(keys), start + _BLOCK_ROWS - offset)
-            chunk = rows[start:stop]
-            if block < self._transposed:  # emptied by removals
-                self._blocks[block][:, offset : offset + len(chunk)] = np.transpose(chunk)
-            elif len(chunk) == _BLOCK_ROWS:
-                full = _transposed_block(chunk, self.dimension)
-                if block == len(self._blocks):
-                    self._blocks.append(full)
-                else:
-                    self._blocks[block] = full
+            if block == len(self._blocks):
+                self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
+            self._blocks[block][offset : offset + stop - start] = rows[start:stop]
+            if offset + stop - start == _BLOCK_ROWS:  # full: transpose once
+                self._blocks[block] = np.ascontiguousarray(self._blocks[block].T)
                 self._transposed += 1
-            else:  # the open block, which transposes once full
-                if block == len(self._blocks):
-                    self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-                self._blocks[block][offset : offset + len(chunk)] = chunk
-                if offset + len(chunk) == _BLOCK_ROWS:
-                    self._blocks[block] = np.ascontiguousarray(self._blocks[block].T)
-                    self._transposed += 1
             start = stop
         self._row_of.update(zip(keys, range(first, first + len(keys))))
         self._keys.extend(keys)
@@ -415,16 +407,6 @@ class VectorRows:
             scores[row] = self._dot(query, row)
         ranked = top_k(scores, self._keys, k, floor)
         return [(self._keys[row], self._dot(query, row)) for row in ranked]
-
-
-def _transposed_block(rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
-    """The (dimension × len(rows)) transpose of ``rows``, in one allocation
-    written 32 rows at a time, which stays in cache where one strided copy of
-    the whole block does not."""
-    block = np.empty((dimension, len(rows)))
-    for start in range(0, len(rows), 32):
-        block[:, start : start + 32] = np.transpose(rows[start : start + 32])
-    return block
 
 
 def top_k(

@@ -5,10 +5,6 @@ outside input (a config, catalog, index, memory, scenario, task, run-log or
 manifest file, or a planner script) has the wrong shape.
 """
 
-from __future__ import annotations
-
-from typing import Callable
-
 
 class PocketRagError(Exception):
     """Base class for all package-specific errors."""
@@ -17,12 +13,9 @@ class PocketRagError(Exception):
 class malformed:
     """Re-raise ``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError``
     (``JSONDecodeError`` and ``UnicodeDecodeError`` included) from the block as
-    ``error_class(f"{where} is malformed: {exc!r}")``; all else passes through.
+    ``error_class(f"{where} is malformed: {exc!r}")``; all else passes through."""
 
-    ``where`` may be a function of no arguments, called only on an error, so
-    that one guard around a loop can name the item that failed."""
-
-    def __init__(self, error_class: type[PocketRagError], where: str | Callable[[], str]) -> None:
+    def __init__(self, error_class: type[PocketRagError], where: str) -> None:
         self.error_class = error_class
         self.where = where
 
@@ -31,8 +24,7 @@ class malformed:
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         if isinstance(exc, (KeyError, TypeError, AttributeError, ValueError)):
-            where = self.where() if callable(self.where) else self.where
-            raise self.error_class(f"{where} is malformed: {exc!r}") from exc
+            raise self.error_class(f"{self.where} is malformed: {exc!r}") from exc
 
 
 # --- embedding ---

@@ -119,12 +119,15 @@ def check_script(script: Sequence[Mapping]) -> None:
     Only types are checked, once, when a task loads, so that a wrong type
     fails the load rather than the step that reaches it; an entry of an
     unknown kind, or an action its kind does not allow, still fails when
-    the planner reaches it.
+    the planner reaches it. One guard covers the script; the entry's
+    position goes into the ValueError it re-raises.
     """
-    position = 0
-    with malformed(PlannerFailureError, lambda: f"script entry {position}"):
+    with malformed(PlannerFailureError, "task script"):
         for position, entry in enumerate(script):
-            _check_entry_types(entry)
+            try:
+                _check_entry_types(entry)
+            except (AttributeError, ValueError) as exc:
+                raise ValueError(f"script entry {position}: {exc}") from exc
 
 
 def _check_entry_types(entry: Mapping) -> None:

@@ -433,10 +433,10 @@ def test_run_on_list_action_target_exits_2(tmp_path, scenario_file, task_file, c
     task = json.loads(task_file.read_text())
     task["script"][1]["action"]["target"] = [None]
     task_file.write_text(json.dumps(task))
-    with pytest.raises(PlannerFailureError, match="script entry 1"):
+    with pytest.raises(PlannerFailureError, match="script entry 1: action target"):
         BenchmarkTask.from_dict(task)
     assert main(["run", "--scenario", str(scenario_file), "--task", str(task_file)]) == 2
-    assert "script entry 1 is malformed" in capsys.readouterr().err
+    assert "task script is malformed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

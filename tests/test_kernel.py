@@ -177,6 +177,20 @@ def test_extend_rejects_a_repeated_or_stored_key_and_stores_nothing():
         assert_store_matches(rows, mirror)
 
 
+def test_extend_refuses_a_transposed_block_and_stores_nothing():
+    original = embedding._BLOCK_ROWS
+    embedding._BLOCK_ROWS = 4
+    try:
+        rows, mirror = rows_and_mirror(4)  # one full, transposed block
+        rows.remove("key00001")
+        del mirror["key00001"]
+        with pytest.raises(ValueError):
+            rows.extend(["new"], [np.ones(4)])
+        assert_store_matches(rows, mirror)
+    finally:
+        embedding._BLOCK_ROWS = original
+
+
 batches = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.lists(st.integers(0, 19), max_size=14), st.integers(0, 8)),
@@ -190,9 +204,9 @@ batches = st.lists(
 @settings(max_examples=200)
 @given(batches)
 def test_extend_equals_one_add_per_row(ops):
-    # blocks of 4 rows: a batch of up to 14 keys starts mid-block, fills whole
-    # blocks that go straight to the transposed layout, and refills blocks
-    # that removals emptied, in both layouts
+    # blocks of 4 rows: a batch of up to 14 keys starts mid-block, fills and
+    # transposes whole blocks, and refills rows that removals emptied in the
+    # open block (extend refuses a transposed one)
     original = embedding._BLOCK_ROWS
     embedding._BLOCK_ROWS = 4
     try:
@@ -206,6 +220,8 @@ def test_extend_equals_one_add_per_row(ops):
                     single.add(key, vector)
             elif op[0] == "remove":
                 for key in sorted({f"k{i:02d}" for i in op[1]} & single._row_of.keys()):
+                    if single._row_of[key] < single._transposed * 4:
+                        continue
                     batched.remove(key)
                     single.remove(key)
             else:
