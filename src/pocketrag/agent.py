@@ -12,10 +12,8 @@ lookup is a miss, its successful run is not committed, and its app request
 fails as no app anywhere.
 
 The store catalog's index is built on the first local miss and kept on the
-``Scenario`` (``Scenario.store_index``, keyed by backend and threshold, where
-backends that compare equal embed alike), so later misses on that scenario
-object reuse it. Nothing is cached process-wide: a freshly loaded scenario
-builds its own.
+``Scenario`` (``Scenario.store_index``, keyed by backend and threshold); a
+new scenario with the same store catalog copies ``AppIndex.build``'s cache.
 
 Cost model: a knowledge request is 1 planner call and 0 mobile steps; an
 app selection is 1 planner call, with the launch costing 1 mobile step
@@ -61,6 +59,20 @@ OUTCOME_BUDGET = "budget_exhausted"
 MEMORY_HIT_EXACT = "exact"
 MEMORY_HIT_SIMILAR = "similar"
 MEMORY_HIT_NONE = "none"
+
+# the kind of each event a run logs, in ``TaskRun.events`` and the run log
+EVENT_MEMORY_LOOKUP = "memory_lookup"
+EVENT_INSTALL = "install"
+EVENT_REPLAY = "replay"
+EVENT_DECISION = "decision"
+EVENT_RETRIEVAL = "retrieval"
+EVENT_SELECTION = "selection"
+EVENT_ACTION = "action"
+EVENT_REFLECTION = "reflection"
+EVENT_FINISH = "finish"
+EVENT_BUDGET = "budget"
+EVENT_MEMORY_COMMIT = "memory_commit"
+EVENT_RUN_END = "run_end"
 
 # mobile steps a store install charges against the step budget
 INSTALL_STEP_COST = 1
@@ -283,9 +295,9 @@ def run_task(
         try:
             memory.commit(instruction, trace)
         except EmptyTextError:
-            state.log("memory_commit", query=instruction, skipped="unembeddable")
+            state.log(EVENT_MEMORY_COMMIT, query=instruction, skipped="unembeddable")
         else:
-            state.log("memory_commit", query=instruction, trace_length=len(trace))
+            state.log(EVENT_MEMORY_COMMIT, query=instruction, trace_length=len(trace))
     counters = RunCounters(
         planner_calls=state.planner_calls,
         mobile_steps=len(trace),
@@ -293,7 +305,7 @@ def run_task(
         installs=state.installs,
         memory_hit=state.memory_hit,
     )
-    state.log("run_end", outcome=outcome, counters=counters.to_dict())
+    state.log(EVENT_RUN_END, outcome=outcome, counters=counters.to_dict())
     return TaskRun(
         task_id=task_id,
         outcome=outcome,
@@ -318,14 +330,14 @@ def _memory_phase(
     except EmptyTextError:  # nothing can be similar to the zero vector
         match = None
     if match is None or match.is_none:
-        state.log("memory_lookup", hit=MEMORY_HIT_NONE)
+        state.log(EVENT_MEMORY_LOOKUP, hit=MEMORY_HIT_NONE)
         return None
 
     if match.is_similar:
         state.memory_hit = MEMORY_HIT_SIMILAR
         state.guidance = render_guidance(match.record)
         state.log(
-            "memory_lookup",
+            EVENT_MEMORY_LOOKUP,
             hit=MEMORY_HIT_SIMILAR,
             matched_query=match.record.query_text,
             score=match.score,
@@ -334,7 +346,7 @@ def _memory_phase(
 
     # exact hit: reacquire any store apps the trace launches, then replay
     state.memory_hit = MEMORY_HIT_EXACT
-    state.log("memory_lookup", hit=MEMORY_HIT_EXACT, matched_query=match.record.query_text)
+    state.log(EVENT_MEMORY_LOOKUP, hit=MEMORY_HIT_EXACT, matched_query=match.record.query_text)
     # the index mirrors the installed apps; the replay aborts on an unsold one
     for step in match.record.trace.steps:
         action = step.action
@@ -345,16 +357,16 @@ def _memory_phase(
                 continue
             index.register(seed)
             state.installs += 1
-            state.log("install", package=action.package, phase="replay_prepare")
+            state.log(EVENT_INSTALL, package=action.package, phase="replay_prepare")
 
     result = replay(match.record, device)
     if result.completed:
-        state.log("replay", status=result.status, actions=result.actions_executed)
+        state.log(EVENT_REPLAY, status=result.status, actions=result.actions_executed)
         return OUTCOME_SUCCESS
     # demote the aborted record to similar-style guidance and plan onward
     state.guidance = render_guidance(match.record)
     state.log(
-        "replay",
+        EVENT_REPLAY,
         status=result.status,
         actions=result.actions_executed,
         abort_index=result.abort_index,
@@ -376,10 +388,10 @@ def _planning_loop(
     while True:
         steps_consumed = len(device.history) + state.installs * INSTALL_STEP_COST
         if state.planner_calls >= config.max_planner_calls:
-            state.log("budget", exhausted="planner_calls")
+            state.log(EVENT_BUDGET, exhausted="planner_calls")
             return OUTCOME_BUDGET
         if steps_consumed >= config.max_steps:
-            state.log("budget", exhausted="mobile_steps")
+            state.log(EVENT_BUDGET, exhausted="mobile_steps")
             return OUTCOME_BUDGET
 
         context = PlannerContext(
@@ -394,7 +406,7 @@ def _planning_loop(
         )
         decision = planner.plan(context)
         state.planner_calls += 1
-        state.log("decision", kind=decision.kind, detail=_decision_detail(decision))
+        state.log(EVENT_DECISION, kind=decision.kind, detail=_decision_detail(decision))
 
         if decision.kind == DECISION_NEED_KNOWLEDGE:
             query = formulate_query(instruction, decision.entities)
@@ -402,7 +414,7 @@ def _planning_loop(
             state.knowledge = context_out.digest
             state.searches += 1
             state.log(
-                "retrieval",
+                EVENT_RETRIEVAL,
                 stage="web",
                 query=query.text,
                 results=len(context_out.results),
@@ -414,21 +426,21 @@ def _planning_loop(
                 )
             except NoAppAnywhereError as exc:
                 state.notices.append(str(exc))
-                state.log("retrieval", stage="apps", query=decision.app_query, found=False)
+                state.log(EVENT_RETRIEVAL, stage="apps", query=decision.app_query, found=False)
                 continue
             if selection.installed_from_store:
                 state.installs += 1
-                state.log("install", package=selection.package_id, phase="select")
+                state.log(EVENT_INSTALL, package=selection.package_id, phase="select")
             state.candidates = selection.candidates
             state.app_selections.append((decision.app_query, selection.package_id))
             state.log(
-                "selection",
+                EVENT_SELECTION,
                 query=decision.app_query,
                 package=selection.package_id,
                 from_store=selection.installed_from_store,
             )
             state.history.append(HistoryEntry(step=device.history[-1]))
-            state.log("action", step=device.history[-1].to_dict())
+            state.log(EVENT_ACTION, step=device.history[-1].to_dict())
         elif decision.kind == DECISION_ACT:
             before = context.screen  # the device is unchanged since it was observed
             try:
@@ -436,12 +448,12 @@ def _planning_loop(
             except AppNotInstalledError as exc:
                 state.notices.append(f"launch failed: {exc} is not installed")
                 continue
-            state.log("action", step=step.to_dict())
+            state.log(EVENT_ACTION, step=step.to_dict())
             after = device.observe()
             verdict = reflector.reflect(before, decision.action, after, instruction)
             state.reflections.append((len(device.history) - 1, verdict))
             state.log(
-                "reflection",
+                EVENT_REFLECTION,
                 index=len(device.history) - 1,
                 ok=verdict.ok,
                 diagnosis=verdict.diagnosis,
@@ -454,8 +466,8 @@ def _planning_loop(
             if not device.stopped:
                 step = device.execute(Action.stop(decision.success))
                 state.history.append(HistoryEntry(step=step))
-                state.log("action", step=step.to_dict(), synthesized=True)
-            state.log("finish", success=decision.success, reason=decision.reason)
+                state.log(EVENT_ACTION, step=step.to_dict(), synthesized=True)
+            state.log(EVENT_FINISH, success=decision.success, reason=decision.reason)
             return OUTCOME_SUCCESS if decision.success else OUTCOME_FAILURE
         else:  # pragma: no cover - decision kinds are closed
             raise ValueError(f"unknown decision kind {decision.kind!r}")

@@ -11,24 +11,23 @@ entry is checked before any is stored, and the ``AppRecord`` that ``get``,
 contrastive training corpus (query, positive, negatives) used to fine-tune
 a real retrieval model offline.
 
-An app's description does not change between builds, so its unit row is
-memoised process-wide (``_description_row``, an LRU of 4,096 rows, at most
-~13 MB at d = 384), keyed on ``(backend, description)``: equal backends
-share rows (``HashedTokenEmbedder``s of one dimension), any other backend
-only its own. Builds, ``register`` and store indexes embed a description
-only the first time it is seen; errors are raised again, never cached.
+A catalog does not change between builds, so ``build`` keeps each one it
+indexes process-wide, keyed on its backend (by ``==``), ``installed`` and
+every entry's (package id, name, description), and copies it for a later
+build at any threshold (``VectorRows.copy``: full blocks shared read-only).
+A catalog that fails is never kept. At most 4,096 rows (~13 MB at d = 384)
+are kept, least recently used out first, each holding its backend alive.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
-
-import numpy as np
 
 from .embedding import (
     EmbedderBackend,
@@ -159,7 +158,7 @@ class AppIndex:
         threshold: float = 0.5,
         installed: bool = True,
     ) -> "AppIndex":
-        """Embed a catalog of seeds into a fresh index.
+        """Embed a catalog of seeds into a fresh index, or copy its cached one.
 
         Every entry is checked before any is embedded, so a malformed entry
         anywhere fails the build before the embedding work starts.
@@ -167,8 +166,22 @@ class AppIndex:
         index = cls(backend, threshold)
         with malformed(MalformedEntryError, "catalog"):
             seeds = [e if isinstance(e, AppSeed) else AppSeed.from_dict(e) for e in catalog]
+        key = (backend, installed, tuple([(s.package_id, s.app_name, s.description) for s in seeds]))
+        with _catalogs_lock:
+            base = _catalogs.get(key)
+            if base is not None:
+                _catalogs.move_to_end(key)
+        if base is not None:
+            index._rows, index._records = base[0].copy(), dict(base[1])
+            return index
         source = SOURCE_PREINSTALLED if installed else SOURCE_CATALOG
         index._insert([_Entry(seed, installed, source) for seed in seeds])
+        if len(seeds) <= _CATALOG_ROWS:
+            with _catalogs_lock:
+                _catalogs[key] = (index._rows.copy(), dict(index._records))
+                kept = sum(len(rows) for rows, _ in _catalogs.values())
+                while kept > _CATALOG_ROWS:  # evict the least recently used
+                    kept -= len(_catalogs.popitem(last=False)[1][0])
         return index
 
     def _insert(
@@ -182,7 +195,7 @@ class AppIndex:
         """
         self._check([entry.seed for entry in entries])
         if vectors is None:
-            rows = [_description_row(self.backend, e.seed.description) for e in entries]
+            rows = [embed_row(self.backend, e.seed.description) for e in entries]
         else:
             for entry, vector in zip(entries, vectors):
                 if vector.dimension != self.backend.dimension:
@@ -345,12 +358,10 @@ class AppIndex:
         return index
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _description_row(backend: EmbedderBackend, description: str) -> np.ndarray:
-    """The read-only ``embed_row`` of an app description (see the module docstring)."""
-    row = embed_row(backend, description)
-    row.flags.writeable = False
-    return row
+# built catalogs as (rows, records), least recently used first (see the module docstring)
+_CATALOG_ROWS = 1 << 12
+_catalogs: OrderedDict[tuple, tuple[VectorRows, dict[str, _Entry]]] = OrderedDict()
+_catalogs_lock = threading.Lock()
 
 
 # --- training corpus --------------------------------------------------------

@@ -14,10 +14,10 @@ The reference backend's token hash is a pure function of the token, so it
 is memoised process-wide in a bounded LRU cache (``_token_hash``, 65,536
 tokens) and shared by every ``HashedTokenEmbedder`` whatever its dimension;
 the hashing trick itself follows Weinberger et al., "Feature Hashing for
-Large Scale Multitask Learning" (arXiv:0902.2206). Rows of app
-descriptions are memoised too, by ``app_index._description_row`` (4,096
-rows, ≤ ~13 MB at d = 384), keyed on the backend by ``==``; queries and
-memory texts are always embedded afresh.
+Large Scale Multitask Learning" (arXiv:0902.2206). Whole app catalogs
+are indexed once per process too (``app_index``, at most 4,096 rows, ≤ ~13
+MB at d = 384), keyed on the backend by ``==``, and each build gets a
+``VectorRows.copy``; queries and memory texts are always embedded afresh.
 
 ``VectorRows``, the one keyed vector store of the app index and the
 memory, keeps full blocks transposed, so a query reads only its own
@@ -137,8 +137,8 @@ class EmbedderBackend(Protocol):
 
     ``encode`` returns a raw (possibly unnormalized) vector of length
     ``dimension``; it must be deterministic for a given input text. A
-    backend must also be hashable: rows and store indexes are cached per
-    backend, and backends that compare equal share them.
+    backend must also be hashable: catalog indexes are cached per backend,
+    and backends that compare equal share them.
     """
 
     name: str
@@ -163,7 +163,7 @@ class HashedTokenEmbedder:
         self.name = f"hashed-token-{dimension}"
 
     # the dimension fixes every vector, so equal backends embed alike and may share
-    # anything built from their vectors (Scenario.store_index, app_index._description_row)
+    # anything built from their vectors (Scenario.store_index, AppIndex.build's cache)
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -357,6 +357,22 @@ class VectorRows:
             start = stop
         self._row_of.update(zip(keys, range(first, first + len(keys))))
         self._keys.extend(keys)
+
+    def copy(self) -> "VectorRows":
+        """An equal store sharing the transposed blocks, now read-only, that
+        copies the keys and the open block's filled rows."""
+        copy = VectorRows(self.dimension)
+        copy._blocks = self._blocks[: self._transposed]
+        for block in copy._blocks:
+            block.flags.writeable = False
+        copy._transposed = self._transposed
+        filled = len(self._keys) - self._transposed * _BLOCK_ROWS
+        if filled > 0:
+            copy._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
+            copy._blocks[-1][:filled] = self._blocks[self._transposed][:filled]
+        copy._keys = list(self._keys)
+        copy._row_of = dict(self._row_of)
+        return copy
 
     def remove(self, key: str) -> None:
         """Drop ``key`` by moving the last vector into its slot; empty blocks

@@ -332,12 +332,11 @@ class Scenario:
 
         Built on the first call for each (backend, threshold) and kept on
         this scenario, so every device and task run on it shares one store
-        index; a new scenario builds its own. Backends are compared with
-        ``==``, which is identity unless the backend class says that two
-        instances embed alike (``HashedTokenEmbedder`` does, by dimension),
-        so a backend never receives an index built by a different model.
-        The index holds store records (``installed=False``) and callers
-        must not register into it.
+        index. Backends are compared with ``==``, which is identity unless
+        the backend class says that two instances embed alike
+        (``HashedTokenEmbedder`` does, by dimension), so a backend never
+        receives an index built by a different model. The index holds store
+        records (``installed=False``) and callers must not register into it.
         """
         key = (backend, float(threshold))
         index = self._store_indexes.get(key)

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import itertools
 import random
+import string
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pocketrag import app_index
 from pocketrag.app_index import (
+    SOURCE_CATALOG,
+    SOURCE_PREINSTALLED,
     AppIndex,
     AppRecord,
     AppSeed,
     KeywordQuerySource,
     NONE_SENTINEL,
     TrainingExample,
-    _description_row,
     generate_training_corpus,
     load_corpus,
     write_corpus,
@@ -86,8 +94,8 @@ def test_duplicate_package_rejected(backend):
 
 
 class CountingEmbedder(HashedTokenEmbedder):
-    def __init__(self):
-        super().__init__()
+    def __init__(self, dimension=384):
+        super().__init__(dimension)
         self.calls = 0
 
     def encode(self, text):
@@ -114,11 +122,16 @@ def test_build_with_a_bad_last_entry_returns_no_index(last, error, encoded):
     assert backend.calls == encoded
 
 
-# --- the description-row cache: each test embeds descriptions no other test
-# embeds with an equal backend, so no test depends on the order tests run in
+# --- the catalog cache: a test that counts encodes starts from an empty
+# cache (``cold``), so no test depends on the order tests run in
 
 
-def test_second_build_of_a_catalog_encodes_nothing():
+@pytest.fixture
+def cold(monkeypatch):
+    monkeypatch.setattr(app_index, "_catalogs", OrderedDict())
+
+
+def test_second_build_of_a_catalog_encodes_nothing(cold):
     catalog = [
         AppSeed(f"W{i}", f"com.wombat{i}", f"wombat lantern orchard {word}")
         for i, word in enumerate(["tide", "ember", "sable"])
@@ -126,10 +139,14 @@ def test_second_build_of_a_catalog_encodes_nothing():
     backend = CountingEmbedder()
     first = AppIndex.build(catalog, backend, threshold=0.4)
     assert backend.calls == 3
-    equal = CountingEmbedder()  # an equal backend shares the rows
-    second = AppIndex.build(catalog, equal, threshold=0.4)
-    second.register(AppSeed("Copy", "com.wombat9", catalog[0].description))
+    equal = CountingEmbedder()  # an equal backend shares the catalog
+    second = AppIndex.build(catalog, equal, threshold=0.7)  # at another threshold
     assert (backend.calls, equal.calls) == (3, 0)
+    assert (first.threshold, second.threshold) == (0.4, 0.7)
+    assert second.to_dict()["apps"] == first.to_dict()["apps"]
+    # register embeds its description even when a catalog held it before
+    second.register(AppSeed("Copy", "com.wombat9", catalog[0].description))
+    assert equal.calls == 1
     assert second.to_dict()["apps"][:3] == first.to_dict()["apps"]
 
 
@@ -164,8 +181,11 @@ def test_an_unequal_backend_embeds_its_own_rows():
 
 
 @settings(max_examples=40)
-@given(st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6), min_size=1, max_size=20))
-def test_warm_build_equals_cold_build(descriptions):
+@given(
+    st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6), min_size=1, max_size=20),
+    st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4), min_size=1, max_size=5),
+)
+def test_warm_build_equals_cold_build(descriptions, queries):
     backend = SaltedEmbedder("")  # a fresh backend: its first build is cold
     seeds = [AppSeed(f"A{i}", f"com.p{i:03d}", " ".join(w)) for i, w in enumerate(descriptions)]
     try:
@@ -181,6 +201,15 @@ def test_warm_build_equals_cold_build(descriptions):
     for seed in seeds:
         row = embed_row(backend, seed.description)
         assert warm.get(seed.package_id).embedding.values.tobytes() == row.tobytes()
+    for words in queries:
+        query = " ".join(words)
+        try:
+            expected = cold.retrieve(query, k=3)
+        except EmptyTextError:
+            with pytest.raises(EmptyTextError):
+                warm.retrieve(query, k=3)
+            continue
+        assert warm.retrieve(query, k=3) == expected
 
 
 def test_unembeddable_description_raises_on_every_build():
@@ -192,17 +221,90 @@ def test_unembeddable_description_raises_on_every_build():
         assert backend.calls == calls
 
 
-def test_cached_row_is_read_only_and_never_shared(backend):
-    description = "gecko kettle meadow"
-    index = AppIndex.build([AppSeed("G", "com.gecko", description)], backend, threshold=0.4)
-    row = _description_row(backend, description)
-    assert not row.flags.writeable
+def signed_bucket(token: str, dimension: int) -> tuple[int, int]:
+    """The bucket and sign ``HashedTokenEmbedder`` gives ``token``, from blake2b itself."""
+    value = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "little")
+    return value % dimension, -1 if value >> 63 else 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.text(string.ascii_lowercase, min_size=1, max_size=8), st.sampled_from([16, 64, 384]))
+def test_tokens_whose_signed_hashes_cancel_fail_every_build(token, dimension):
+    bucket, sign = signed_bucket(token, dimension)
+    partner = next(
+        f"{token}{i}" for i in itertools.count()
+        if signed_bucket(f"{token}{i}", dimension) == (bucket, -sign)
+    )
+    text = f"{token} {partner}"
+    backend = CountingEmbedder(dimension)
+    with pytest.raises(EmptyTextError):
+        embed_row(backend, text)
+    catalog = [AppSeed("One", "com.one", "music"), AppSeed("Zero", "com.zero", text)]
+    for calls in (3, 5):  # both entries embedded again: the catalog was never kept
+        with pytest.raises(EmptyTextError):
+            AppIndex.build(catalog, backend, threshold=0.4)
+        assert backend.calls == calls
+
+
+def test_register_reaches_neither_the_cache_nor_another_build(cold, backend):
+    catalog = random_catalog(random.Random(5), 300)  # a full, shared block and an open one
+    first = AppIndex.build(catalog, backend, threshold=0.4)
+    second = AppIndex.build(catalog, backend, threshold=0.4)
+    second.register(AppSeed("New", "com.new", "music stream radio"))
+    third = AppIndex.build(catalog, backend, threshold=0.4)
+    assert "com.new" in second and "com.new" not in first and "com.new" not in third
+    assert third.to_dict() == first.to_dict()
+
+
+def test_shared_blocks_are_read_only(cold, backend):
+    catalog = random_catalog(random.Random(6), 300)
+    first = AppIndex.build(catalog, backend, threshold=0.4)
+    second = AppIndex.build(catalog, backend, threshold=0.4)
+    full, open_ = second._rows._blocks
+    assert np.shares_memory(full, first._rows._blocks[0])
+    assert not np.shares_memory(open_, first._rows._blocks[1])
     with pytest.raises(ValueError):
-        row[0] = 1.0
-    record = index.get("com.gecko")
-    assert record.embedding.values.tobytes() == row.tobytes()
-    assert not np.shares_memory(record.embedding.values, row)
-    assert not np.shares_memory(index._rows.vector("com.gecko"), row)
+        second._rows.vector(catalog[0].package_id)[0] = 1.0
+    with pytest.raises(ValueError):
+        first._rows.vector(catalog[0].package_id)[0] = 1.0
+
+
+def test_installed_and_store_builds_keep_their_own_sources(cold, backend):
+    catalog = random_catalog(random.Random(8), 5)
+    store = AppIndex.build(catalog, backend, threshold=0.4, installed=False)
+    local = AppIndex.build(catalog, backend, threshold=0.4)
+    store_again = AppIndex.build(catalog, backend, threshold=0.6, installed=False)
+    for index, installed, source in [
+        (store, False, SOURCE_CATALOG), (local, True, SOURCE_PREINSTALLED), (store_again, False, SOURCE_CATALOG)
+    ]:
+        assert {(r.installed, r.source) for r in index.records()} == {(installed, source)}
+
+
+def test_a_larger_catalog_is_built_but_not_kept(cold):
+    backend = CountingEmbedder()
+    small = random_catalog(random.Random(4), 3)
+    AppIndex.build(small, backend, threshold=0.4)
+    large = random_catalog(random.Random(9), app_index._CATALOG_ROWS + 1)
+    for _ in range(2):
+        calls = backend.calls
+        assert len(AppIndex.build(large, backend, threshold=0.4)) == len(large)
+        assert backend.calls == calls + len(large)
+    calls = backend.calls
+    AppIndex.build(small, backend, threshold=0.4)
+    assert backend.calls == calls  # the larger catalog evicted nothing
+
+
+def test_an_evicted_backend_is_freed(cold):
+    backend = SaltedEmbedder("throwaway")
+    released = weakref.ref(backend)
+    AppIndex.build(random_catalog(random.Random(10), 3), backend, threshold=0.4)
+    del backend
+    gc.collect()
+    assert released() is not None  # the cache still holds it
+    filler = random_catalog(random.Random(11), app_index._CATALOG_ROWS)
+    AppIndex.build(filler, HashedTokenEmbedder(16), threshold=0.4)
+    gc.collect()
+    assert released() is None
 
 
 def test_empty_description_rejected(backend):

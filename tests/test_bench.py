@@ -6,11 +6,12 @@ import hashlib
 import importlib.util
 import json
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
-from pocketrag import metrics
+from pocketrag import app_index, metrics
 from pocketrag.bench import (
     BenchmarkTask,
     compute_stats,
@@ -335,6 +336,17 @@ def output_digest(out_dir: Path) -> str:
 def test_desk_outputs_are_pinned(tmp_path, suite, memory):
     run_benchmark(PACK_DIR, memory_enabled=memory, suite=suite, out_dir=tmp_path)
     assert output_digest(tmp_path) == DESK_OUTPUT_SHA256[suite, memory]
+
+
+@pytest.mark.parametrize("suite,memory", sorted(DESK_OUTPUT_SHA256))
+def test_desk_outputs_do_not_depend_on_the_catalog_cache(tmp_path, monkeypatch, suite, memory):
+    monkeypatch.setattr(app_index, "_catalogs", OrderedDict())
+    outputs = []
+    for run in ("cold", "warm"):
+        run_benchmark(PACK_DIR, memory_enabled=memory, suite=suite, out_dir=tmp_path / run)
+        files = (tmp_path / run).rglob("*")
+        outputs.append({p.relative_to(tmp_path / run): p.read_bytes() for p in files if p.is_file()})
+    assert outputs[0] == outputs[1]
 
 
 def test_desk_pack_regenerates_byte_for_byte(tmp_path, monkeypatch, capsys):

@@ -196,6 +196,7 @@ batches = st.lists(
         st.tuples(st.just("add"), st.lists(st.integers(0, 19), max_size=14), st.integers(0, 8)),
         st.tuples(st.just("remove"), st.lists(st.integers(0, 19), max_size=10)),
         st.tuples(st.just("search"), st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.integers(1, 8)),
+        st.tuples(st.just("copy")),
     ),
     max_size=30,
 )
@@ -206,13 +207,19 @@ batches = st.lists(
 def test_extend_equals_one_add_per_row(ops):
     # blocks of 4 rows: a batch of up to 14 keys starts mid-block, fills and
     # transposes whole blocks, and refills rows that removals emptied in the
-    # open block (extend refuses a transposed one)
+    # open block (extend refuses a transposed one); after a copy, the batched
+    # store goes on as the copy and the store it copied must not change
     original = embedding._BLOCK_ROWS
     embedding._BLOCK_ROWS = 4
     try:
         batched, single = VectorRows(2), VectorRows(2)
+        copied = []
         for op in ops:
-            if op[0] == "add":
+            if op[0] == "copy":
+                vectors = {key: batched.vector(key).copy() for key in batched._keys}
+                copied.append((batched, list(batched._keys), vectors))
+                batched = batched.copy()
+            elif op[0] == "add":
                 keys = [f"k{i:02d}" for i in dict.fromkeys(op[1]) if f"k{i:02d}" not in single._row_of]
                 vectors = [unit(op[2] + 0.25 * i) for i in range(len(keys))]
                 batched.extend(keys, vectors)
@@ -231,6 +238,9 @@ def test_extend_equals_one_add_per_row(ops):
             assert batched._transposed == single._transposed
             for key in single._keys:
                 assert np.array_equal(batched.vector(key), single.vector(key))
+        for store, keys, vectors in copied:
+            assert store._keys == keys
+            assert all(np.array_equal(store.vector(key), vectors[key]) for key in keys)
     finally:
         embedding._BLOCK_ROWS = original
 
