@@ -49,16 +49,15 @@ from .planning import (
     Reflector,
 )
 from .simulator import Action, ActionTrace, Device, Scenario
-from .task_memory import MemoryStore, replay
+from .task_memory import MATCH_EXACT, MATCH_NONE, MATCH_SIMILAR, MemoryStore, replay
 from .web_search import SearchBackend, formulate_query, search
 
 OUTCOME_SUCCESS = "success"
 OUTCOME_FAILURE = "failure"
 OUTCOME_BUDGET = "budget_exhausted"
 
-MEMORY_HIT_EXACT = "exact"
-MEMORY_HIT_SIMILAR = "similar"
-MEMORY_HIT_NONE = "none"
+# a run's memory route is the lookup's match kind
+MEMORY_HIT_EXACT, MEMORY_HIT_SIMILAR, MEMORY_HIT_NONE = MATCH_EXACT, MATCH_SIMILAR, MATCH_NONE
 
 # the kind of each event a run logs, in ``TaskRun.events`` and the run log
 EVENT_MEMORY_LOOKUP = "memory_lookup"
@@ -332,21 +331,16 @@ def _memory_phase(
     if match is None or match.is_none:
         state.log(EVENT_MEMORY_LOOKUP, hit=MEMORY_HIT_NONE)
         return None
-
+    state.memory_hit = match.kind
     if match.is_similar:
-        state.memory_hit = MEMORY_HIT_SIMILAR
         state.guidance = render_guidance(match.record)
         state.log(
-            EVENT_MEMORY_LOOKUP,
-            hit=MEMORY_HIT_SIMILAR,
-            matched_query=match.record.query_text,
-            score=match.score,
+            EVENT_MEMORY_LOOKUP, hit=match.kind, matched_query=match.record.query_text, score=match.score
         )
         return None
 
     # exact hit: reacquire any store apps the trace launches, then replay
-    state.memory_hit = MEMORY_HIT_EXACT
-    state.log(EVENT_MEMORY_LOOKUP, hit=MEMORY_HIT_EXACT, matched_query=match.record.query_text)
+    state.log(EVENT_MEMORY_LOOKUP, hit=match.kind, matched_query=match.record.query_text)
     # the index mirrors the installed apps; the replay aborts on an unsold one
     for step in match.record.trace.steps:
         action = step.action

@@ -1,12 +1,13 @@
-"""Local app knowledge base: build, query with rejection, extend, persist.
+"""Local app knowledge base: build, query with rejection, register, persist.
 
 The index embeds every app description once and answers queries with the
 top-k scored matches, or an explicit no-match outcome when even the best
 score sits below the configured threshold; vectors are stored under their
-package ids in the shared keyed store (``VectorRows``), and a query is one
-``search`` of it. Each app's vector is held once, in that store: every
-entry is checked before any is stored, and the ``AppRecord`` that ``get``,
-``records`` and ``register`` return is built on demand with its
+package ids in the shared keyed store (``VectorRows``), one ``add`` each,
+and a query is one ``search`` of it. Each app's vector is held once, in
+that store: every entry is checked and embedded before any is stored,
+``add`` checks each vector's dimension, and the ``AppRecord`` that
+``get``, ``records`` and ``register`` return is built on demand with its
 ``embedding`` copied from the store. The module also generates the
 contrastive training corpus (query, positive, negatives) used to fine-tune
 a real retrieval model offline.
@@ -14,9 +15,10 @@ a real retrieval model offline.
 A catalog does not change between builds, so ``build`` keeps each one it
 indexes process-wide, keyed on its backend (by ``==``), ``installed`` and
 every entry's (package id, name, description), and copies it for a later
-build at any threshold (``VectorRows.copy``: full blocks shared read-only).
-A catalog that fails is never kept. At most 4,096 rows (~13 MB at d = 384)
-are kept, least recently used out first, each holding its backend alive.
+build at any threshold (``VectorRows.copy``: full blocks shared read-only,
+each copied by the first write to it). A catalog that fails is never kept.
+At most 4,096 rows (~13 MB at d = 384) are kept, least recently used out
+first, each holding its backend alive.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import json
 import random
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
+
+import numpy as np
 
 from .embedding import (
     EmbedderBackend,
@@ -37,7 +41,7 @@ from .embedding import (
     embed_row,
     resolve_backend,
     tokenize,
-    write_json_atomic,
+    write_text_atomic,
 )
 from .errors import (
     ConflictingRecordError,
@@ -147,7 +151,7 @@ class AppIndex:
         self._insert(
             [_Entry(AppSeed(r.app_name, r.package_id, r.description), r.installed, r.source)
              for r in records],
-            [r.embedding for r in records],
+            [r.embedding.values for r in records],
         )
 
     @classmethod
@@ -184,29 +188,21 @@ class AppIndex:
                     kept -= len(_catalogs.popitem(last=False)[1][0])
         return index
 
-    def _insert(
-        self, entries: list[_Entry], vectors: list[EmbeddingVector] | None = None
-    ) -> None:
-        """Check every entry, then store them all under their package ids in
-        one ``VectorRows.extend``; a failure stores none of them.
+    def _insert(self, entries: list[_Entry], rows: list[np.ndarray] | None = None) -> None:
+        """Check every entry and embed every description (unless ``rows``
+        gives the vectors) before storing any, then store each entry's row
+        under its package id by ``VectorRows.add``.
 
-        An entry's vector is ``vectors[i]`` when given (its dimension must
-        be the backend's), otherwise its embedded description.
+        Only ``__init__`` and ``load`` give rows, and when ``add`` raises
+        DimensionMismatchError for one of them they raise too, so no caller
+        holds a half-filled index.
         """
         self._check([entry.seed for entry in entries])
-        if vectors is None:
+        if rows is None:
             rows = [embed_row(self.backend, e.seed.description) for e in entries]
-        else:
-            for entry, vector in zip(entries, vectors):
-                if vector.dimension != self.backend.dimension:
-                    raise DimensionMismatchError(
-                        f"record {entry.seed.package_id} has dimension "
-                        f"{vector.dimension}, index uses {self.backend.dimension}"
-                    )
-            rows = [vector.values for vector in vectors]
-        ids = [entry.seed.package_id for entry in entries]
-        self._rows.extend(ids, rows)
-        self._records.update(zip(ids, entries))
+        for entry, row in zip(entries, rows):
+            self._rows.add(entry.seed.package_id, row)
+            self._records[entry.seed.package_id] = entry
 
     def _check(self, seeds: list[AppSeed]) -> None:
         """Raise for an empty package id or description, or an id already taken."""
@@ -317,8 +313,8 @@ class AppIndex:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the index file atomically (see ``write_json_atomic``)."""
-        write_json_atomic(path, self.to_dict())
+        """Write the index file atomically (see ``write_text_atomic``)."""
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load(
@@ -330,9 +326,10 @@ class AppIndex:
         """Load an index file; resolves the backend by name if not given.
 
         ``threshold``, when given, replaces the threshold stored in the file.
-        Raises a PocketRagError (MalformedEntryError names the entry) when a
-        field is missing or invalid, a vector is not unit-norm, or the file's
-        dimension differs from the backend's.
+        Raises a PocketRagError naming the entry when a field is missing or
+        invalid, a vector is not unit-norm, or a vector's dimension differs
+        from the backend's (``VectorRows.add`` checks it), and one when the
+        file's dimension does.
         """
         where = f"index file {str(path)!r}"
         with malformed(MalformedEntryError, where):
@@ -345,16 +342,16 @@ class AppIndex:
                     f"backend {backend.name!r} produces {backend.dimension}"
                 )
             index = cls(backend, data["threshold"] if threshold is None else threshold)
-            apps, vectors = [], []
+            apps, rows = [], []
             for position, entry in enumerate(data["apps"]):
                 with malformed(MalformedEntryError, f"{where}, app entry {position}"):
                     seed = AppSeed(entry["name"], entry["package_id"], entry["description"])
-                    vectors.append(EmbeddingVector(entry["embedding"]))
+                    rows.append(EmbeddingVector(entry["embedding"]).values)
                     installed = bool(entry.get("installed", True))
                     default = SOURCE_PREINSTALLED if installed else SOURCE_CATALOG
                     source = entry.get("source", default)
                 apps.append(_Entry(seed, installed, source))
-            index._insert(apps, vectors)
+            index._insert(apps, rows)
         return index
 
 
@@ -500,20 +497,8 @@ def generate_training_corpus(
 
 
 def write_corpus(examples: Iterable[TrainingExample], path: str | Path) -> None:
-    """Serialize examples as one JSON object per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "query": ex.query,
-                        "positive": ex.positive,
-                        "negatives": list(ex.negatives),
-                        "is_none_case": ex.is_none_case,
-                    }
-                )
-            )
-            fh.write("\n")
+    """Serialize examples as one JSON object per line (the fields in order), atomically."""
+    write_text_atomic(path, "".join(json.dumps(asdict(ex)) + "\n" for ex in examples))
 
 
 def load_corpus(path: str | Path) -> list[TrainingExample]:

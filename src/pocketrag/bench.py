@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .agent import AgentConfig, TaskRun, run_task
 from .app_index import AppIndex
-from .embedding import DEFAULT_BACKEND, resolve_backend
+from .embedding import DEFAULT_BACKEND, resolve_backend, write_text_atomic
 from .errors import (
     DanglingScenarioRefError,
     InvalidGroundTruthError,
@@ -399,8 +399,8 @@ def write_report(report: BenchmarkReport, out_dir: str | Path) -> None:
     """Write report.json, report.txt, and one run log per task."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.txt").write_text(report.render_text(), encoding="utf-8")
+    write_text_atomic(out / "report.json", report.to_json())
+    write_text_atomic(out / "report.txt", report.render_text())
     runs_dir = out / "runs"
     runs_dir.mkdir(exist_ok=True)
     for run_id, run in zip(report.run_ids, report.runs):
@@ -408,13 +408,9 @@ def write_report(report: BenchmarkReport, out_dir: str | Path) -> None:
 
 
 def write_run_log(run: TaskRun, path: str | Path) -> None:
-    """One event per line, closing with the full serialized run."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for event in run.events:
-            fh.write(json.dumps(event, sort_keys=True))
-            fh.write("\n")
-        fh.write(json.dumps({"event": "run", "run": run.to_dict()}, sort_keys=True))
-        fh.write("\n")
+    """One event per line, closing with the full serialized run, atomically."""
+    events = [*run.events, {"event": "run", "run": run.to_dict()}]
+    write_text_atomic(path, "".join(json.dumps(event, sort_keys=True) + "\n" for event in events))
 
 
 def read_run_log(path: str | Path) -> TaskRun:

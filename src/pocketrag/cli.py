@@ -28,7 +28,7 @@ from .bench import (
     validate_pack,
     write_run_log,
 )
-from .embedding import DEFAULT_BACKEND, resolve_backend
+from .embedding import DEFAULT_BACKEND, resolve_backend, write_text_atomic
 from .errors import MalformedEntryError, PocketRagError, malformed
 from .planning import EffectReflector, HttpChatPlanner, ScriptedPlanner
 from .simulator import Scenario
@@ -241,7 +241,7 @@ def _cmd_memory(args: argparse.Namespace, config: dict) -> int:
         if out == "-":
             print(payload)
         else:
-            Path(out).write_text(payload, encoding="utf-8")
+            write_text_atomic(out, payload)
             print(f"exported {len(store)} records -> {out}")
         return EXIT_OK
     raise PocketRagError(f"unknown memory subcommand {args.memory_cmd!r}")

@@ -20,17 +20,20 @@ MB at d = 384), keyed on the backend by ``==``, and each build gets a
 ``VectorRows.copy``; queries and memory texts are always embedded afresh.
 
 ``VectorRows``, the one keyed vector store of the app index and the
-memory, keeps full blocks transposed, so a query reads only its own
-non-zero coordinates of them (5-8 of 384 from the reference embedder), as
-an inverted file does (Zobel and Moffat, ACM Computing Surveys 2006). Hits
-are ranked and reported exactly, by 1-D dot products.
+memory, is written only by ``add``, which checks each vector's dimension.
+It keeps full blocks column-major, a memory order that alone marks them
+full, so a query reads only its own non-zero coordinates of them (5-8 of
+384 from the reference embedder), as an inverted file does (Zobel and
+Moffat, ACM Computing Surveys 2006). A ``copy`` shares the full blocks
+read-only and copies one on the first write to it. Hits are ranked and
+reported exactly, by 1-D dot products. ``write_text_atomic`` writes every
+file the package writes.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import os
 import re
@@ -278,15 +281,19 @@ _BLOCK_ROWS = 256  # rows per block of a VectorRows store
 class VectorRows:
     """Unit vectors stored under string keys, in blocks of ``_BLOCK_ROWS`` rows.
 
-    A block is row-major (rows × dimension) while it fills; the add that
-    fills it replaces it by its contiguous transpose (dimension × rows). The
-    first ``_transposed`` blocks are transposed, even when removals empty
-    them. Removing a key moves the last vector into its slot. A ``vector``
-    view is valid only until the next ``add`` or ``remove``: the filling
-    add copies its block, so an older view no longer sees later writes.
+    Every block is rows × dimension, with ``block[offset]`` a row. A block
+    is row-major while it fills; the add that fills it makes it
+    column-major, so its transpose is a contiguous dimension × rows array,
+    and the block's memory order alone tells ``search`` how to read it.
+    ``add`` checks that a vector has the store's dimension. Removing a key
+    moves the last vector into its slot. Every write goes through
+    ``_write``, which first copies a block that ``copy`` shares read-only.
+    A ``vector`` view is valid only until the next ``add`` or ``remove``:
+    the add that fills a block, and the first write to a shared one, copy
+    the block, so an older view no longer sees later writes.
 
-    ``search`` scans a transposed block as ``query[nz] @ block[nz]`` over
-    the query's non-zero coordinates ``nz``, and the row-major block as
+    ``search`` scans a column-major block as ``query[nz] @ block.T[nz]``
+    over the query's non-zero coordinates ``nz``, and a row-major block as
     ``block @ query``. Any order of a d-term dot product is within
     γ_d·|q|·|v| of the exact sum, γ_d = d·u/(1−d·u), u = 2^-53 (Higham,
     "Accuracy and Stability of Numerical Algorithms", §3.1), and
@@ -303,7 +310,6 @@ class VectorRows:
     def __init__(self, dimension: int) -> None:
         self.dimension = dimension
         self._blocks: list[np.ndarray] = []
-        self._transposed = 0  # the leading blocks that are transposed
         self._keys: list[str] = []  # the key of each row
         self._row_of: dict[str, int] = {}
         gamma = dimension * 2.0**-53 / (1.0 - dimension * 2.0**-53)
@@ -313,63 +319,47 @@ class VectorRows:
         return len(self._keys)
 
     def add(self, key: str, vector: np.ndarray) -> None:
-        """Store ``vector`` under ``key``, which must not be stored already."""
+        """Store ``vector`` under ``key``, which must not be stored already.
+
+        Raises DimensionMismatchError, naming ``key``, when the vector's
+        length is not the store's dimension.
+        """
+        if len(vector) != self.dimension:
+            raise DimensionMismatchError(
+                f"vector for {key!r} has dimension {len(vector)}, expected {self.dimension}"
+            )
         if key in self._row_of:
             raise KeyError(f"{key!r} is already stored")
-        block, offset = divmod(len(self._keys), _BLOCK_ROWS)
-        if block == len(self._blocks):
-            self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-        if block < self._transposed:
-            self._blocks[block][:, offset] = vector
-        else:  # the open block, which transposes once full
-            self._blocks[block][offset] = vector
-            if offset == _BLOCK_ROWS - 1:
-                self._blocks[block] = np.ascontiguousarray(self._blocks[block].T)
-                self._transposed += 1
-        self._row_of[key] = len(self._keys)
+        row = len(self._keys)
+        self._write(row, vector)
+        self._row_of[key] = row
         self._keys.append(key)
 
-    def extend(self, keys: Sequence[str], rows: Sequence[np.ndarray]) -> None:
-        """Store ``rows[i]`` under ``keys[i]``, as ``add`` would one at a time,
-        writing a block slice per step instead of a row per call.
-
-        Every block it writes must still be open: it raises ValueError after
-        removals have emptied rows of a transposed block, which no current
-        caller does (``AppIndex`` never removes). Raises KeyError when a key
-        is repeated or already stored. Either error stores nothing.
-        """
-        keys = list(keys)
-        if len(set(keys)) != len(keys) or not self._row_of.keys().isdisjoint(keys):
-            raise KeyError("a key is given twice or is already stored")
-        first = len(self._keys)
-        if first < self._transposed * _BLOCK_ROWS:
-            raise ValueError("extend writes only open blocks; use add after removals")
-        start = 0
-        while start < len(keys):
-            block, offset = divmod(first + start, _BLOCK_ROWS)
-            stop = min(len(keys), start + _BLOCK_ROWS - offset)
-            if block == len(self._blocks):
-                self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-            self._blocks[block][offset : offset + stop - start] = rows[start:stop]
-            if offset + stop - start == _BLOCK_ROWS:  # full: transpose once
-                self._blocks[block] = np.ascontiguousarray(self._blocks[block].T)
-                self._transposed += 1
-            start = stop
-        self._row_of.update(zip(keys, range(first, first + len(keys))))
-        self._keys.extend(keys)
+    def _write(self, row: int, vector: np.ndarray) -> None:
+        """Write ``vector`` into ``row``, first copying the block if ``copy``
+        shares it; the write that fills a block makes it column-major."""
+        index, offset = divmod(row, _BLOCK_ROWS)
+        if index == len(self._blocks):
+            self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
+        block = self._blocks[index]
+        if not block.flags.writeable:
+            block = self._blocks[index] = block.copy(order="K")
+        block[offset] = vector
+        if offset == _BLOCK_ROWS - 1:
+            self._blocks[index] = np.asfortranarray(block)
 
     def copy(self) -> "VectorRows":
-        """An equal store sharing the transposed blocks, now read-only, that
-        copies the keys and the open block's filled rows."""
+        """An equal store that shares the full blocks, now read-only in both
+        stores, and copies the keys and the last block's filled rows. Either
+        store copies a shared block on its first write to it."""
         copy = VectorRows(self.dimension)
-        copy._blocks = self._blocks[: self._transposed]
+        full, filled = divmod(len(self._keys), _BLOCK_ROWS)
+        copy._blocks = self._blocks[:full]
         for block in copy._blocks:
             block.flags.writeable = False
-        copy._transposed = self._transposed
-        filled = len(self._keys) - self._transposed * _BLOCK_ROWS
-        if filled > 0:
+        if filled:
             copy._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-            copy._blocks[-1][:filled] = self._blocks[self._transposed][:filled]
+            copy._blocks[-1][:filled] = self._blocks[full][:filled]
         copy._keys = list(self._keys)
         copy._row_of = dict(self._row_of)
         return copy
@@ -380,7 +370,7 @@ class VectorRows:
         row = self._row_of.pop(key)
         last = self._keys.pop()
         if last != key:
-            self._row(row)[:] = self._row(len(self._keys))
+            self._write(row, self._row(len(self._keys)))
             self._keys[row] = last
             self._row_of[last] = row
 
@@ -390,8 +380,6 @@ class VectorRows:
 
     def _row(self, row: int) -> np.ndarray:
         block, offset = divmod(row, _BLOCK_ROWS)
-        if block < self._transposed:
-            return self._blocks[block][:, offset]
         return self._blocks[block][offset]
 
     def _dot(self, query: np.ndarray, row: int) -> float:
@@ -409,13 +397,14 @@ class VectorRows:
         n = len(self._keys)
         if not n:
             return []
-        nonzero = np.flatnonzero(query) if self._transposed else None
+        # a row-major first block has never filled, so it is the only one in use
+        nonzero = None if self._blocks[0].flags.c_contiguous else np.flatnonzero(query)
         parts = []
         for index, block in enumerate(self._blocks[: -(-n // _BLOCK_ROWS)]):
-            if index < self._transposed:
-                parts.append(query[nonzero] @ block.take(nonzero, axis=0))
-            else:
+            if block.flags.c_contiguous:
                 parts.append(block[: n - index * _BLOCK_ROWS] @ query)
+            else:
+                parts.append(query[nonzero] @ block.T.take(nonzero, axis=0))
         scores = parts[0][:n] if len(parts) == 1 else np.concatenate(parts)[:n]
         scaled = scores * 1e9
         scaled -= np.rint(scaled)
@@ -466,8 +455,8 @@ def top_k(
     return sorted(candidates, key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
 
 
-def write_json_atomic(path: str | Path, data) -> None:
-    """Write ``data`` as indented JSON so that ``path`` is never half-written.
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that ``path`` is never half-written.
 
     The text goes to a temporary file in the same directory, is flushed to
     disk, and then replaces ``path`` in one ``os.replace``; a failure part
@@ -477,7 +466,7 @@ def write_json_atomic(path: str | Path, data) -> None:
     temp = path.with_name(f".{path.name}.tmp")
     try:
         with temp.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data, indent=2))
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temp, path)

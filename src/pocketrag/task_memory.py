@@ -36,7 +36,7 @@ from .embedding import (
     embed_row,
     normalize_text,
     resolve_backend,
-    write_json_atomic,
+    write_text_atomic,
 )
 from .errors import (
     EmptyQueryError,
@@ -243,8 +243,8 @@ class MemoryStore:
         return data
 
     def save(self, path: str | Path) -> None:
-        """Write the memory file atomically (see ``write_json_atomic``)."""
-        write_json_atomic(path, self.to_dict())
+        """Write the memory file atomically (see ``write_text_atomic``)."""
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load(
@@ -256,9 +256,9 @@ class MemoryStore:
     ) -> "MemoryStore":
         """Load a memory file; ``threshold``, when given, replaces the stored one.
 
-        Raises a PocketRagError (MalformedEntryError names the record) when a
-        field is missing or invalid, a vector is not unit-norm, or a
-        dimension differs from the backend's.
+        Raises a PocketRagError naming the record when a field is missing or
+        invalid, a vector is not unit-norm, or a dimension differs from the
+        backend's (``VectorRows.add`` checks each vector's).
         """
         where = f"memory file {str(path)!r}"
         with malformed(MalformedEntryError, where):
@@ -285,13 +285,8 @@ class MemoryStore:
                         seq=int(entry.get("seq", 0)),
                     )
                     vector = EmbeddingVector(entry["embedding"])
-                if vector.dimension != backend.dimension:
-                    raise PocketRagError(
-                        f"memory record {record.normalized_query!r} has dimension "
-                        f"{vector.dimension}, backend produces {backend.dimension}"
-                    )
-                store._keep(record)
                 store._rows.add(record.normalized_query, vector.values)
+                store._keep(record)
                 max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
         return store

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pocketrag.app_index import AppIndex
 from pocketrag.bench import BenchmarkTask
 from pocketrag.cli import main
-from pocketrag.errors import MalformedEntryError, PlannerFailureError, ScenarioError
+from pocketrag.errors import (
+    DimensionMismatchError,
+    MalformedEntryError,
+    PlannerFailureError,
+    ScenarioError,
+)
 from pocketrag.planning import ScriptedPlanner
 from pocketrag.simulator import Scenario
 from pocketrag.task_memory import MemoryStore
@@ -342,6 +349,31 @@ def test_memory_ls_on_repeated_query_exits_2(tmp_path, scenario_file, task_file,
         MemoryStore.load(memory_path)
     assert main(["memory", "ls", "--store", str(memory_path)]) == 2
 
+
+
+# unit vectors of another length than the backend's 384; numpy would
+# broadcast the one-float vector into every coordinate of a row
+@pytest.mark.parametrize("embedding", [[1.0] + [0.0] * 11, [1.0]], ids=["12-floats", "1-float"])
+def test_a_vector_of_another_dimension_exits_2_naming_its_entry(
+    tmp_path, catalog_file, scenario_file, task_file, capsys, embedding
+):
+    index_path, memory_path = tmp_path / "idx.json", tmp_path / "memory.json"
+    main(["index", "build", "--catalog", str(catalog_file), "--out", str(index_path)])
+    main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
+          "--memory", str(memory_path), "--tau-local", "0.3"])
+    for loader, path, entries, key, command in [
+        (AppIndex, index_path, "apps", "package_id", ["index", "query", "--index", str(index_path), "--q", "music"]),
+        (MemoryStore, memory_path, "records", "normalized_query", ["memory", "ls", "--store", str(memory_path)]),
+    ]:
+        data = json.loads(path.read_text())
+        data[entries][-1]["embedding"] = embedding
+        path.write_text(json.dumps(data))
+        named = repr(data[entries][-1][key])
+        with pytest.raises(DimensionMismatchError, match=re.escape(named)):
+            loader.load(path)
+        capsys.readouterr()
+        assert main(command) == 2
+        assert named in capsys.readouterr().err
 
 def test_index_build_threshold_follows_config(tmp_path, catalog_file):
     config = tmp_path / "config.json"

@@ -169,82 +169,6 @@ def test_rows_reject_a_stored_key():
         rows.remove("missing")
 
 
-def test_extend_rejects_a_repeated_or_stored_key_and_stores_nothing():
-    rows, mirror = rows_and_mirror(3)
-    for keys in (["new", "new"], ["new", "key00001"]):
-        with pytest.raises(KeyError):
-            rows.extend(keys, [np.ones(4)] * len(keys))
-        assert_store_matches(rows, mirror)
-
-
-def test_extend_refuses_a_transposed_block_and_stores_nothing():
-    original = embedding._BLOCK_ROWS
-    embedding._BLOCK_ROWS = 4
-    try:
-        rows, mirror = rows_and_mirror(4)  # one full, transposed block
-        rows.remove("key00001")
-        del mirror["key00001"]
-        with pytest.raises(ValueError):
-            rows.extend(["new"], [np.ones(4)])
-        assert_store_matches(rows, mirror)
-    finally:
-        embedding._BLOCK_ROWS = original
-
-
-batches = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), st.lists(st.integers(0, 19), max_size=14), st.integers(0, 8)),
-        st.tuples(st.just("remove"), st.lists(st.integers(0, 19), max_size=10)),
-        st.tuples(st.just("search"), st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.integers(1, 8)),
-        st.tuples(st.just("copy")),
-    ),
-    max_size=30,
-)
-
-
-@settings(max_examples=200)
-@given(batches)
-def test_extend_equals_one_add_per_row(ops):
-    # blocks of 4 rows: a batch of up to 14 keys starts mid-block, fills and
-    # transposes whole blocks, and refills rows that removals emptied in the
-    # open block (extend refuses a transposed one); after a copy, the batched
-    # store goes on as the copy and the store it copied must not change
-    original = embedding._BLOCK_ROWS
-    embedding._BLOCK_ROWS = 4
-    try:
-        batched, single = VectorRows(2), VectorRows(2)
-        copied = []
-        for op in ops:
-            if op[0] == "copy":
-                vectors = {key: batched.vector(key).copy() for key in batched._keys}
-                copied.append((batched, list(batched._keys), vectors))
-                batched = batched.copy()
-            elif op[0] == "add":
-                keys = [f"k{i:02d}" for i in dict.fromkeys(op[1]) if f"k{i:02d}" not in single._row_of]
-                vectors = [unit(op[2] + 0.25 * i) for i in range(len(keys))]
-                batched.extend(keys, vectors)
-                for key, vector in zip(keys, vectors):
-                    single.add(key, vector)
-            elif op[0] == "remove":
-                for key in sorted({f"k{i:02d}" for i in op[1]} & single._row_of.keys()):
-                    if single._row_of[key] < single._transposed * 4:
-                        continue
-                    batched.remove(key)
-                    single.remove(key)
-            else:
-                query = unit(op[1])
-                assert batched.search(query, op[2]) == single.search(query, op[2])
-            assert batched._keys == single._keys
-            assert batched._transposed == single._transposed
-            for key in single._keys:
-                assert np.array_equal(batched.vector(key), single.vector(key))
-        for store, keys, vectors in copied:
-            assert store._keys == keys
-            assert all(np.array_equal(store.vector(key), vectors[key]) for key in keys)
-    finally:
-        embedding._BLOCK_ROWS = original
-
-
 # unit vectors at these angles: equal angles give exactly tied scores, and
 # angles 1e-9 apart give scores about 5e-10 to 1e-9 apart, on either side
 # of a 9th-decimal rounding step
@@ -255,6 +179,7 @@ operations = st.lists(
         st.tuples(st.just("add"), st.integers(0, 40), st.sampled_from(ANGLES)),
         st.tuples(st.just("remove"), st.integers(0, 40)),
         st.tuples(st.just("search"), st.sampled_from(ANGLES), st.integers(1, 8)),
+        st.tuples(st.just("copy")),
     ),
     max_size=60,
 )
@@ -266,15 +191,22 @@ def unit(angle):
 
 @settings(max_examples=200)
 @given(operations)
+@example([("add", i, 0.5) for i in range(5)] + [("copy",), ("remove", 0)])
 def test_store_behaves_as_a_dict_with_a_full_sort(ops):
-    # blocks of 4 rows, so short sequences cross block boundaries both ways
+    # blocks of 4 rows, so short sequences cross block boundaries both ways;
+    # after a copy the ops go on on the copy, and the store it copied must
+    # not change, though the two share their full blocks
     original = embedding._BLOCK_ROWS
     embedding._BLOCK_ROWS = 4
     try:
         rows = VectorRows(2)
         mirror = {}
+        copied = []
         for op in ops:
-            if op[0] == "add":
+            if op[0] == "copy":
+                copied.append((rows, {key: vector.copy() for key, vector in mirror.items()}))
+                rows = rows.copy()
+            elif op[0] == "add":
                 key = f"k{op[1]:02d}"
                 if key in mirror:
                     continue
@@ -290,6 +222,8 @@ def test_store_behaves_as_a_dict_with_a_full_sort(ops):
                 query = unit(op[1])
                 assert rows.search(query, op[2]) == oracle_search(mirror, query, op[2])
             assert_store_matches(rows, mirror)
+        for store, contents in copied:
+            assert_store_matches(store, contents)
     finally:
         embedding._BLOCK_ROWS = original
 
