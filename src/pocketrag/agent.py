@@ -115,13 +115,7 @@ class RunCounters:
     memory_hit: str
 
     def to_dict(self) -> dict:
-        return {
-            "planner_calls": self.planner_calls,
-            "mobile_steps": self.mobile_steps,
-            "searches": self.searches,
-            "installs": self.installs,
-            "memory_hit": self.memory_hit,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

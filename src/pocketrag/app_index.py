@@ -29,7 +29,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
+from typing import Iterable, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class AppIndex:
 
     Supports many concurrent readers; ``register`` requires exclusive
     access (single-writer contract). The threshold is fixed at
-    construction. Iterating yields the package ids in insertion order.
+    construction. ``package_ids`` lists the indexed apps.
     """
 
     def __init__(
@@ -235,9 +235,6 @@ class AppIndex:
     def __contains__(self, package_id: str) -> bool:
         return package_id in self._records
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._records)
-
     def package_ids(self) -> KeysView[str]:
         """The indexed package ids, as a live read-only set view."""
         return self._records.keys()
@@ -328,8 +325,8 @@ class AppIndex:
         ``threshold``, when given, replaces the threshold stored in the file.
         Raises a PocketRagError naming the entry when a field is missing or
         invalid, a vector is not unit-norm, or a vector's dimension differs
-        from the backend's (``VectorRows.add`` checks it), and one when the
-        file's dimension does.
+        from the backend's (``VectorRows.add`` checks it), and
+        DimensionMismatchError when the file's dimension does.
         """
         where = f"index file {str(path)!r}"
         with malformed(MalformedEntryError, where):

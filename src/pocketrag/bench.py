@@ -87,14 +87,7 @@ class BenchStats:
     total_ops: int
 
     def to_dict(self) -> dict:
-        return {
-            "tasks": self.tasks,
-            "multi_app_tasks": self.multi_app_tasks,
-            "no_app_tasks": self.no_app_tasks,
-            "apps": self.apps,
-            "avg_ops": self.avg_ops,
-            "total_ops": self.total_ops,
-        }
+        return dict(vars(self))
 
 
 def compute_stats(
@@ -249,7 +242,7 @@ class HarnessError:
     error: str
 
     def to_dict(self) -> dict:
-        return {"run_id": self.run_id, "task_id": self.task_id, "error": self.error}
+        return dict(vars(self))
 
 
 @dataclass

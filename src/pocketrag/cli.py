@@ -123,7 +123,7 @@ def _cmd_index_query(args: argparse.Namespace, config: dict) -> int:
     backend_name = args.backend or config.get("embedder")
     backend = resolve_backend(backend_name) if backend_name else None
     index = AppIndex.load(args.index, backend=backend)
-    outcome = index.retrieve(args.q, k=args.k)
+    outcome = index.retrieve(args.q, k=_agent_config(config, {"k_apps": args.k}).k_apps)
     if not outcome.found:
         if outcome.best_score is None:
             print("NO_LOCAL_APP (empty index)")
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = index_sub.add_parser("query")
     p_query.add_argument("--index", required=True)
     p_query.add_argument("--q", required=True)
-    p_query.add_argument("-k", type=_positive_int, default=3)
+    p_query.add_argument("-k", type=_positive_int)
     p_query.add_argument("--backend")
     p_query.set_defaults(func=_cmd_index_query)
 

@@ -304,7 +304,9 @@ class VectorRows:
     with |s·1e9 − rint(s·1e9)| ≥ 0.5 − 1e9·(ε + 2^-52), where 2^-52 covers
     the rounding of s·1e9 for |s| < 2, and replaces just those by the 1-D
     dot before ``top_k`` ranks, as FAISS re-ranks a coarse scan (Douze et
-    al., arXiv:2401.08281).
+    al., arXiv:2401.08281). Of more than k flagged rows, only those scanned
+    within 1e-8 of the k-th best scan score are re-scored: as 1e-8 > 2ε +
+    1e-9, the others rank below k rounded scores either way.
     """
 
     def __init__(self, dimension: int) -> None:
@@ -408,7 +410,11 @@ class VectorRows:
         scores = parts[0][:n] if len(parts) == 1 else np.concatenate(parts)[:n]
         scaled = scores * 1e9
         scaled -= np.rint(scaled)
-        for row in np.flatnonzero(np.abs(scaled) >= 0.5 - self._margin).tolist():
+        flagged = np.flatnonzero(np.abs(scaled) >= 0.5 - self._margin)
+        if len(flagged) > k:  # re-score only the rows ``top_k`` can rank
+            kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
+            flagged = flagged[scores[flagged] >= kth - 1e-8]
+        for row in flagged.tolist():
             scores[row] = self._dot(query, row)
         ranked = top_k(scores, self._keys, k, floor)
         return [(self._keys[row], self._dot(query, row)) for row in ranked]

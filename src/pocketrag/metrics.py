@@ -51,12 +51,6 @@ class ActionPattern:
     def from_dict(cls, data: Mapping) -> "ActionPattern":
         return cls(kind=data["kind"], target=data.get("target"))
 
-    def to_dict(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.target is not None:
-            data["target"] = self.target
-        return data
-
 
 def _action_key(step: ActionStep) -> str | None:
     action = step.action
@@ -116,16 +110,6 @@ class SubGoal:
             screen=data.get("screen"),
         )
 
-    def to_dict(self) -> dict:
-        data: dict = {"name": self.name, "kind": self.kind}
-        if self.flag is not None:
-            data["flag"] = self.flag
-        if self.equals is not None:
-            data["equals"] = self.equals
-        if self.screen is not None:
-            data["screen"] = self.screen
-        return data
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -148,13 +132,6 @@ class GroundTruth:
             ),
             sub_goals=tuple(SubGoal.from_dict(g) for g in data.get("sub_goals", [])),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "expected_apps": list(self.expected_apps),
-            "expected_actions": [p.to_dict() for p in self.expected_actions],
-            "sub_goals": [g.to_dict() for g in self.sub_goals],
-        }
 
 
 def lcs_matches(steps: Sequence[ActionStep], patterns: Sequence[ActionPattern]) -> int:

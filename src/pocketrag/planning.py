@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
 
 from .app_index import AppMatch
 from .errors import PlannerFailureError, malformed
@@ -24,6 +24,8 @@ DECISION_ACT = "act"
 DECISION_FINISH = "finish"
 
 HISTORY_WINDOW = 8  # latest steps shown to the planner
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -319,9 +321,9 @@ def _extract_json_object(text: str) -> dict:
 class HttpChatPlanner:
     """Chat-completion backend behind the decision schema above.
 
-    Unparseable responses are retried up to twice with the parse error
-    appended; a third failure raises PlannerFailureError. The transport is
-    injectable for tests.
+    ``plan`` and ``pick_app`` retry an unparseable response (their parser
+    raises ValueError) up to twice with the parse error appended; a third
+    failure raises PlannerFailureError. The transport is injectable for tests.
     """
 
     MAX_PARSE_RETRIES = 2
@@ -375,16 +377,18 @@ class HttpChatPlanner:
         except Exception as exc:
             raise PlannerFailureError(f"planner backend failed: {exc}") from exc
 
-    def plan(self, context: PlannerContext) -> PlannerDecision:
-        user = render_context_blocks(context)
+    def _ask(self, system: str, user: str, parse: Callable[[str], T]) -> T:
         last_error = ""
         for _ in range(self.MAX_PARSE_RETRIES + 1):
-            text = self._complete(SYSTEM_PROMPT, user + last_error)
+            text = self._complete(system, user + last_error)
             try:
-                return parse_decision_response(text)
+                return parse(text)
             except ValueError as exc:
                 last_error = f"\n\n## Parse error\n{exc}. Reply with one JSON object only."
         raise PlannerFailureError("planner response unparseable after retries")
+
+    def plan(self, context: PlannerContext) -> PlannerDecision:
+        return self._ask(SYSTEM_PROMPT, render_context_blocks(context), parse_decision_response)
 
     def pick_app(self, app_query: str, candidates: Sequence[AppMatch]) -> str:
         lines = [
@@ -392,15 +396,11 @@ class HttpChatPlanner:
             for i, c in enumerate(candidates, start=1)
         ]
         user = f"Request: {app_query}\n\nCandidates:\n" + "\n".join(lines)
-        last_error = ""
-        for _ in range(self.MAX_PARSE_RETRIES + 1):
-            text = self._complete(PICK_PROMPT, user + last_error)
-            try:
-                data = _extract_json_object(text)
-                pick = str(data.get("pick", ""))
-                if pick in {c.package_id for c in candidates}:
-                    return pick
+
+        def parse_pick(text: str) -> str:
+            pick = str(_extract_json_object(text).get("pick", ""))
+            if pick not in {c.package_id for c in candidates}:
                 raise ValueError(f"pick {pick!r} is not among the candidates")
-            except ValueError as exc:
-                last_error = f"\n\n## Parse error\n{exc}"
-        raise PlannerFailureError("pick response unparseable after retries")
+            return pick
+
+        return self._ask(PICK_PROMPT, user, parse_pick)

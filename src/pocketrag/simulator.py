@@ -150,17 +150,13 @@ class Action:
         return self.kind
 
     def to_dict(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.target is not None:
-            data["target"] = self.target
-        if self.text is not None:
-            data["text"] = self.text
-        if self.direction is not None:
-            data["direction"] = self.direction
-        if self.package is not None:
-            data["package"] = self.package
-        if self.success is not None:
-            data["success"] = self.success
+        """The fields that are set, in field order. Read by ``getattr``, not
+        ``vars``, which would give every written action an instance dict."""
+        data = {}
+        for name in _ACTION_FIELD_TYPES:
+            value = getattr(self, name)
+            if value is not None:
+                data[name] = value
         return data
 
     @classmethod
@@ -168,16 +164,13 @@ class Action:
         """Raises KeyError without a kind, and ValueError for a field of the
         wrong type (``check_action_types``) or an action its kind does not allow."""
         check_action_types(data)
-        return cls(
-            kind=data["kind"],
-            target=data.get("target"),
-            text=data.get("text"),
-            direction=data.get("direction"),
-            package=data.get("package"),
-            success=data.get("success"),
-        )
+        if "kind" not in data:
+            raise KeyError("kind")
+        return cls(*map(data.get, _ACTION_FIELD_TYPES))
 
 
+# ``Action``'s fields in field order (``from_dict`` passes them by position),
+# each with the type it must have when set
 _ACTION_FIELD_TYPES = {
     "kind": str, "target": str, "text": str, "direction": str, "package": str, "success": bool
 }
@@ -361,9 +354,10 @@ class Scenario:
                 raise ScenarioError(
                     f"{pid} appears in both catalogs with different records"
                 )
-        for pid in installed:
-            if pid not in self.app_graphs:
-                raise ScenarioError(f"installed app {pid} has no screen graph")
+        for catalog, apps in (("installed", installed), ("store", store)):
+            for pid in apps:
+                if pid not in self.app_graphs:
+                    raise ScenarioError(f"{catalog} app {pid} has no screen graph")
         for pid, graph in self.app_graphs.items():
             if graph.entry not in graph.screens:
                 raise ScenarioError(f"{pid}: entry screen {graph.entry!r} undefined")
@@ -562,10 +556,7 @@ class Device:
         elif action.kind == "launch":
             if action.package not in self._installed:
                 raise AppNotInstalledError(action.package)
-            entry = self.scenario.app_graphs[action.package].entry
-            self._foreground = action.package
-            self._screen_id = entry
-            self._stack = [entry]
+            self._open(action.package)
         elif action.kind == "back":
             self._apply_back()
         elif action.kind == "tap" and self._foreground == HOME_PACKAGE:
@@ -611,10 +602,13 @@ class Device:
             return
         package = target[len(ICON_PREFIX) :]
         if package in self._installed:
-            entry = self.scenario.app_graphs[package].entry
-            self._foreground = package
-            self._screen_id = entry
-            self._stack = [entry]
+            self._open(package)
+
+    def _open(self, package: str) -> None:
+        entry = self.scenario.app_graphs[package].entry
+        self._foreground = package
+        self._screen_id = entry
+        self._stack = [entry]
 
     def _apply_graph_action(self, action: Action) -> dict[str, str]:
         screen = self._screen()
@@ -656,8 +650,6 @@ class Device:
             return self._installed[package_id]
         if package_id not in self._store:
             raise NotInStoreError(package_id)
-        if package_id not in self.scenario.app_graphs:
-            raise ScenarioError(f"store app {package_id} has no screen graph")
         seed = self._store[package_id]
         self._installed[package_id] = seed
         self._home = None

@@ -39,6 +39,7 @@ from .embedding import (
     write_text_atomic,
 )
 from .errors import (
+    DimensionMismatchError,
     EmptyQueryError,
     EmptyTraceError,
     MalformedEntryError,
@@ -256,9 +257,9 @@ class MemoryStore:
     ) -> "MemoryStore":
         """Load a memory file; ``threshold``, when given, replaces the stored one.
 
-        Raises a PocketRagError naming the record when a field is missing or
-        invalid, a vector is not unit-norm, or a dimension differs from the
-        backend's (``VectorRows.add`` checks each vector's).
+        Raises DimensionMismatchError when the file's dimension differs from
+        the backend's, and a PocketRagError naming the record when a field is
+        missing or invalid or a vector is not unit-norm or of another dimension.
         """
         where = f"memory file {str(path)!r}"
         with malformed(MalformedEntryError, where):
@@ -266,7 +267,7 @@ class MemoryStore:
             if backend is None:
                 backend = resolve_backend(data["backend"])
             if backend.dimension != data["dimension"]:
-                raise PocketRagError(
+                raise DimensionMismatchError(
                     f"memory file has dimension {data['dimension']}, "
                     f"backend {backend.name!r} produces {backend.dimension}"
                 )

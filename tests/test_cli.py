@@ -375,6 +375,35 @@ def test_a_vector_of_another_dimension_exits_2_naming_its_entry(
         assert main(command) == 2
         assert named in capsys.readouterr().err
 
+
+def test_a_file_dimension_other_than_the_backends_raises_dimension_mismatch(
+    tmp_path, catalog_file, scenario_file, task_file
+):
+    index_path, memory_path = tmp_path / "idx.json", tmp_path / "memory.json"
+    main(["index", "build", "--catalog", str(catalog_file), "--out", str(index_path)])
+    main(["run", "--scenario", str(scenario_file), "--task", str(task_file),
+          "--memory", str(memory_path), "--tau-local", "0.3"])
+    for loader, path in [(AppIndex, index_path), (MemoryStore, memory_path)]:
+        data = json.loads(path.read_text())
+        data["dimension"] = 64
+        path.write_text(json.dumps(data))
+        with pytest.raises(DimensionMismatchError, match="has dimension 64"):
+            loader.load(path)
+
+
+def test_index_query_k_follows_config(tmp_path, catalog_file, capsys):
+    index_path, config = tmp_path / "idx.json", tmp_path / "config.json"
+    main(["index", "build", "--catalog", str(catalog_file), "--out", str(index_path),
+          "--threshold", "0.1"])
+    config.write_text(json.dumps({"agent": {"k_apps": 1}}))
+    query = ["index", "query", "--index", str(index_path), "--q", "music streaming traffic"]
+    capsys.readouterr()
+    assert main(["--config", str(config), *query]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(["--config", str(config), *query, "-k", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_index_build_threshold_follows_config(tmp_path, catalog_file):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"agent": {"tau_local": 0.35}}))
@@ -459,6 +488,17 @@ def test_run_on_null_search_fixture_hit_exits_2(tmp_path, task_file, capsys):
         Scenario.from_dict(data)
     assert main(["run", "--scenario", str(scenario_path), "--task", str(task_file)]) == 2
     assert "scenario is malformed" in capsys.readouterr().err
+
+
+def test_run_on_store_app_without_graph_exits_2(tmp_path, task_file, capsys):
+    data = mini_scenario_dict()
+    del data["app_graphs"]["com.weather"]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="com.weather"):
+        Scenario.from_dict(data)
+    assert main(["run", "--scenario", str(scenario_path), "--task", str(task_file)]) == 2
+    assert "store app com.weather has no screen graph" in capsys.readouterr().err
 
 
 def test_run_on_list_action_target_exits_2(tmp_path, scenario_file, task_file, capsys):

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from pocketrag import embedding
 from pocketrag.embedding import EmbeddingVector, VectorRows, top_k
+from pocketrag.task_memory import MemoryStore
+
+from test_task_memory import make_trace
 
 # offsets that force exact ties, ties after rounding to 9 decimals, and
 # scores just outside the partition's 1e-8 candidate margin
@@ -342,3 +345,27 @@ def test_search_rescores_only_near_a_rounding_boundary(monkeypatch):
     dotted.clear()
     assert [key for key, _ in rows.search(dense(((63, 1.0),)), 1)] == ["k02"]
     assert dotted == [2]
+
+
+def test_search_rescores_at_most_the_rows_top_k_can_rank(monkeypatch, backend):
+    # a 4-token query scores 1/√5, within ε of a 9th-decimal boundary, against
+    # every 5-token row that shares 2 of its tokens: thousands of rows here
+    store = MemoryStore(backend)
+    trace = make_trace()
+    for i in range(5000):
+        store.commit(f"remember task {i} word{i % 97} other{i % 13}", trace)
+    dotted = []
+    dot = VectorRows._dot
+
+    def counted(self, query, row):
+        dotted.append(row)
+        return dot(self, query, row)
+
+    monkeypatch.setattr(VectorRows, "_dot", counted)
+    match = store.lookup("remember task 17 word17")
+    assert match.kind == "similar"
+    assert match.record.normalized_query == "remember task 17 word17 other4"
+    assert len(dotted) == 1  # the best row scores above every flagged one: only its report
+    dotted.clear()
+    assert store.lookup("remember task 4321 word55").kind == "none"
+    assert len(dotted) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 
@@ -17,6 +18,7 @@ from pocketrag.errors import (
     ScenarioError,
 )
 from pocketrag.simulator import (
+    _ACTION_FIELD_TYPES,
     SWIPE_DIRECTIONS,
     Action,
     ActionTrace,
@@ -267,6 +269,13 @@ def test_action_serialization_round_trip():
     ]
     for action in actions:
         assert Action.from_dict(action.to_dict()) == action
+
+
+def test_action_field_types_are_the_action_fields_in_order():
+    assert list(_ACTION_FIELD_TYPES) == [f.name for f in dataclasses.fields(Action)]
+    assert list(Action.type_text("y", "text").to_dict()) == ["kind", "target", "text"]
+    with pytest.raises(KeyError):
+        Action.from_dict({"target": "x"})
 
 
 def test_trace_serialization_round_trip(mini_scenario):
