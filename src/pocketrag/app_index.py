@@ -15,10 +15,11 @@ a real retrieval model offline.
 A catalog does not change between builds, so ``build`` keeps each one it
 indexes process-wide, keyed on its backend (by ``==``), ``installed`` and
 every entry's (package id, name, description), and copies it for a later
-build at any threshold (``VectorRows.copy``: full blocks shared read-only,
-each copied by the first write to it). A catalog that fails is never kept.
-At most 4,096 rows (~13 MB at d = 384) are kept, least recently used out
-first, each holding its backend alive.
+build at any threshold (``VectorRows.copy``: every sealed array shared,
+since none is written again, and only the keys copied). A catalog that
+fails is never kept. At most 4,096 rows (~1.2 MB of reference-embedder
+rows, at most ~13 MB of dense rows at d = 384) are kept, least recently
+used out first, each holding its backend alive.
 """
 
 from __future__ import annotations

@@ -15,19 +15,19 @@ is memoised process-wide in a bounded LRU cache (``_token_hash``, 65,536
 tokens) and shared by every ``HashedTokenEmbedder`` whatever its dimension;
 the hashing trick itself follows Weinberger et al., "Feature Hashing for
 Large Scale Multitask Learning" (arXiv:0902.2206). Whole app catalogs
-are indexed once per process too (``app_index``, at most 4,096 rows, ≤ ~13
-MB at d = 384), keyed on the backend by ``==``, and each build gets a
-``VectorRows.copy``; queries and memory texts are always embedded afresh.
+are indexed once per process too (``app_index``, at most 4,096 rows), keyed
+on the backend by ``==``, and each build gets a ``VectorRows.copy``;
+queries and memory texts are always embedded afresh.
 
 ``VectorRows``, the one keyed vector store of the app index and the
 memory, is written only by ``add``, which checks each vector's dimension.
-It keeps full blocks column-major, a memory order that alone marks them
-full, so a query reads only its own non-zero coordinates of them (5-8 of
-384 from the reference embedder), as an inverted file does (Zobel and
-Moffat, ACM Computing Surveys 2006). A ``copy`` shares the full blocks
-read-only and copies one on the first write to it. Hits are ranked and
-reported exactly, by 1-D dot products. ``write_text_atomic`` writes every
-file the package writes.
+It keeps each sealed vector as its non-zero (coordinate, value) pairs,
+or, when those take more bytes, as a dense row, and serves a query from
+the postings of the query's own non-zero coordinates (5-8 of 384 from
+the reference embedder), an inverted file (Zobel and Moffat, ACM
+Computing Surveys 2006). Sealed arrays are never written again, so a
+``copy`` shares them. Hits are ranked and reported exactly, by 1-D dot
+products. ``write_text_atomic`` writes every file the package writes.
 """
 
 from __future__ import annotations
@@ -275,50 +275,69 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 # --- exact inner-product search -------------------------------------------
 
-_BLOCK_ROWS = 256  # rows per block of a VectorRows store
+_BLOCK_ROWS = 256  # rows a store stages densely before it seals them
 
 
 class VectorRows:
-    """Unit vectors stored under string keys, in blocks of ``_BLOCK_ROWS`` rows.
+    """Unit vectors stored under string keys, each sealed one as its non-zero
+    (coordinate, value) pairs or as a dense row, whichever takes fewer bytes.
 
-    Every block is rows × dimension, with ``block[offset]`` a row. A block
-    is row-major while it fills; the add that fills it makes it
-    column-major, so its transpose is a contiguous dimension × rows array,
-    and the block's memory order alone tells ``search`` how to read it.
-    ``add`` checks that a vector has the store's dimension. Removing a key
-    moves the last vector into its slot. Every write goes through
-    ``_write``, which first copies a block that ``copy`` shares read-only.
-    A ``vector`` view is valid only until the next ``add`` or ``remove``:
-    the add that fills a block, and the first write to a shared one, copy
-    the block, so an older view no longer sees later writes.
+    ``add`` checks that a vector has the store's dimension and writes it
+    into the stage, ``_BLOCK_ROWS`` dense rows. The add that fills the
+    stage, and every ``copy``, seals it. A row with fewer non-zero
+    coordinates than half the dimension (a pair takes 16 bytes, a dense
+    coordinate 8) is kept as pairs, in slot order; a -0.0 coordinate
+    counts as non-zero, so ``vector`` gives back every bit that was added.
+    The stage's other rows, zero rows among them, stay as one dense,
+    row-major block, in which the pair rows read 0. Once ``_BLOCK_ROWS``
+    rows are sealed, every seal also adds the pairs not yet there to the
+    postings, the pairs in order of coordinate, an inverted file (Zobel and
+    Moffat, ACM Computing Surveys 2006). Sealed arrays are never written again, so a ``copy``
+    shares them and copies only the keys. A removed key's slot stays
+    unused, and when more slots are unused than keys are stored, the store
+    is built again from its vectors.
 
-    ``search`` scans a column-major block as ``query[nz] @ block.T[nz]``
-    over the query's non-zero coordinates ``nz``, and a row-major block as
-    ``block @ query``. Any order of a d-term dot product is within
-    γ_d·|q|·|v| of the exact sum, γ_d = d·u/(1−d·u), u = 2^-53 (Higham,
-    "Accuracy and Stability of Numerical Algorithms", §3.1), and
-    ``embed_row`` keeps |q|, |v| ≤ 1 + 1e-6. So a scan score is within
-    ε = 2·γ_d·(1 + 1e-6)² (8.5e-14 at d = 384) of the reported 1-D dot, and
-    only a scan score within ε of a rounding boundary (m + 0.5)·1e-9 can
-    round to another 9th decimal. ``search`` flags them as the scores s
-    with |s·1e9 − rint(s·1e9)| ≥ 0.5 − 1e9·(ε + 2^-52), where 2^-52 covers
-    the rounding of s·1e9 for |s| < 2, and replaces just those by the 1-D
-    dot before ``top_k`` ranks, as FAISS re-ranks a coarse scan (Douze et
-    al., arXiv:2401.08281). Of more than k flagged rows, only those scanned
+    ``search`` sums the products of the pairs of the query's non-zero
+    coordinates, read from the postings (from all pairs when there are
+    none yet), per slot by one ``np.bincount``, and scans each block and
+    the stage as ``rows @ query``. The bincount adds a row's products in
+    the order of the query's coordinates, leaving out the zero products,
+    which are exact: one order of the d-term dot product. Any order of it
+    is within γ_d·|q|·|v| of the exact sum, γ_d = d·u/(1−d·u), u = 2^-53
+    (Higham, "Accuracy and Stability of Numerical Algorithms", §3.1), and
+    ``embed_row`` keeps |q|, |v| ≤ 1 + 1e-6. So a scan score is within ε =
+    2·γ_d·(1 + 1e-6)² (8.5e-14 at d = 384) of the reported 1-D dot of the
+    query and the row (rebuilt dense from its pairs), and only a scan score
+    within ε of a rounding boundary (m + 0.5)·1e-9 can round to another 9th
+    decimal. ``search`` flags them as the scores s with |s·1e9 −
+    rint(s·1e9)| ≥ 0.5 − 1e9·(ε + 2^-52), where 2^-52 covers the rounding
+    of s·1e9 for |s| < 2, and replaces just those by the 1-D dot before
+    ``top_k`` ranks, as FAISS re-ranks a coarse scan (Douze et al.,
+    arXiv:2401.08281). Of more than k flagged rows, only those scanned
     within 1e-8 of the k-th best scan score are re-scored: as 1e-8 > 2ε +
     1e-9, the others rank below k rounded scores either way.
     """
 
     def __init__(self, dimension: int) -> None:
         self.dimension = dimension
-        self._blocks: list[np.ndarray] = []
-        self._keys: list[str] = []  # the key of each row
-        self._row_of: dict[str, int] = {}
+        self._keys: list[str] = []  # the key of each slot, "" once removed
+        self._row_of: dict[str, int] = {}  # the slot of each key
+        self._removed: list[int] = []
+        self._sealed = 0  # the slots sealed
+        self._stage: np.ndarray | None = None  # the rows of the slots from ``_sealed`` on
+        # the sealed rows' pairs as (slot, coordinate, value), in slot order, and
+        # where each slot's pairs start; the postings, once a stage's worth of
+        # rows is sealed: the pairs' order by coordinate (then by slot), and
+        # where each coordinate's pairs start in it
+        self._pairs = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+        self._starts = [0]
+        self._postings: tuple[np.ndarray, list[int]] | None = None
+        self._blocks: tuple[tuple[int, np.ndarray], ...] = ()  # (first slot, dense rows)
         gamma = dimension * 2.0**-53 / (1.0 - dimension * 2.0**-53)
         self._margin = 1e9 * (2.0 * gamma * (1.0 + 1e-6) ** 2 + 2.0**-52)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._row_of)
 
     def add(self, key: str, vector: np.ndarray) -> None:
         """Store ``vector`` under ``key``, which must not be stored already.
@@ -332,60 +351,104 @@ class VectorRows:
             )
         if key in self._row_of:
             raise KeyError(f"{key!r} is already stored")
-        row = len(self._keys)
-        self._write(row, vector)
-        self._row_of[key] = row
+        if self._stage is None:
+            self._stage = np.empty((_BLOCK_ROWS, self.dimension))
+        self._stage[len(self._keys) - self._sealed] = vector
+        self._row_of[key] = len(self._keys)
         self._keys.append(key)
+        if len(self._keys) - self._sealed == len(self._stage):
+            self._seal()
 
-    def _write(self, row: int, vector: np.ndarray) -> None:
-        """Write ``vector`` into ``row``, first copying the block if ``copy``
-        shares it; the write that fills a block makes it column-major."""
-        index, offset = divmod(row, _BLOCK_ROWS)
-        if index == len(self._blocks):
-            self._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-        block = self._blocks[index]
-        if not block.flags.writeable:
-            block = self._blocks[index] = block.copy(order="K")
-        block[offset] = vector
-        if offset == _BLOCK_ROWS - 1:
-            self._blocks[index] = np.asfortranarray(block)
+    def _seal(self) -> None:
+        """Keep the staged rows as pairs or in a dense block and, once a
+        stage's worth of rows is sealed, add the pairs not in the postings
+        yet to them (see the class docstring)."""
+        staged = self._stage[: len(self._keys) - self._sealed]
+        nonzero = staged.view(np.int64) != 0  # the bits of -0.0 are not zero
+        count = np.count_nonzero(nonzero, axis=1)
+        sparse = (count > 0) & (2 * count < self.dimension)  # a zero row goes in a block
+        if not sparse.all():
+            self._blocks += ((self._sealed, np.where(sparse[:, None], 0.0, staged)),)
+            nonzero[~sparse] = False
+        rows, coords = np.divmod(np.flatnonzero(nonzero), self.dimension)
+        slots, all_coords, values = self._pairs
+        self._pairs = (
+            np.concatenate((slots, rows + self._sealed)),
+            np.concatenate((all_coords, coords)),
+            np.concatenate((values, staged[rows, coords])),
+        )
+        self._starts = self._starts + (self._starts[-1] + np.cumsum(count * sparse)).tolist()
+        self._sealed, self._stage = len(self._keys), None
+        if self._sealed >= _BLOCK_ROWS:  # index the pairs not indexed yet
+            order, ptr = self._postings or (np.zeros(0, np.intp), [0] * (self.dimension + 1))
+            coords = self._pairs[1][len(order) :]
+            # each after the pairs of its coordinate indexed before (a stable
+            # sort of small integers is a radix sort)
+            new = np.argsort(coords.astype(np.min_scalar_type(self.dimension)), kind="stable")
+            order = np.insert(order, np.take(ptr[1:], coords[new]), new + len(order))
+            counts = np.bincount(coords, minlength=self.dimension)
+            self._postings = (order, (ptr + np.concatenate(([0], np.cumsum(counts)))).tolist())
 
     def copy(self) -> "VectorRows":
-        """An equal store that shares the full blocks, now read-only in both
-        stores, and copies the keys and the last block's filled rows. Either
-        store copies a shared block on its first write to it."""
-        copy = VectorRows(self.dimension)
-        full, filled = divmod(len(self._keys), _BLOCK_ROWS)
-        copy._blocks = self._blocks[:full]
-        for block in copy._blocks:
-            block.flags.writeable = False
-        if filled:
-            copy._blocks.append(np.empty((_BLOCK_ROWS, self.dimension)))
-            copy._blocks[-1][:filled] = self._blocks[full][:filled]
-        copy._keys = list(self._keys)
-        copy._row_of = dict(self._row_of)
+        """An equal store. Seals this store's staged rows first, then shares
+        every sealed array with the copy and copies the keys."""
+        if len(self._keys) > self._sealed:
+            self._seal()
+        copy = object.__new__(VectorRows)
+        copy.__dict__.update(self.__dict__)
+        copy._keys, copy._row_of, copy._removed = list(self._keys), dict(self._row_of), list(self._removed)
         return copy
 
     def remove(self, key: str) -> None:
-        """Drop ``key`` by moving the last vector into its slot; empty blocks
-        are kept, so a store that evicts on every commit reuses its last one."""
-        row = self._row_of.pop(key)
-        last = self._keys.pop()
-        if last != key:
-            self._write(row, self._row(len(self._keys)))
-            self._keys[row] = last
-            self._row_of[last] = row
+        """Drop ``key``. Its slot stays unused until more slots are unused
+        than keys are stored, and the store is then built again from its rows."""
+        self._removed.append(self._row_of.pop(key))
+        self._keys[self._removed[-1]] = ""
+        if 2 * len(self._removed) > len(self._keys):
+            rebuilt = VectorRows(self.dimension)
+            for kept, row in self._row_of.items():
+                rebuilt.add(kept, self._row(row))
+            self.__dict__ = rebuilt.__dict__
 
     def vector(self, key: str) -> np.ndarray:
-        """The vector stored under ``key``, as a view; callers must not write to it."""
+        """The vector stored under ``key``, bit for bit; callers must not write to it."""
         return self._row(self._row_of[key])
 
     def _row(self, row: int) -> np.ndarray:
-        block, offset = divmod(row, _BLOCK_ROWS)
-        return self._blocks[block][offset]
+        if row >= self._sealed:
+            return self._stage[row - self._sealed]
+        start, end = self._starts[row], self._starts[row + 1]
+        if start == end:  # a row without pairs is in a block
+            for first, block in self._blocks:
+                if row < first + len(block):
+                    return block[row - first]
+        _, coords, values = self._pairs
+        vector = np.zeros(self.dimension)
+        vector[coords[start:end]] = values[start:end]
+        return vector
 
     def _dot(self, query: np.ndarray, row: int) -> float:
-        return float(query @ np.ascontiguousarray(self._row(row)))
+        return float(query @ self._row(row))
+
+    def _scores(self, query: np.ndarray) -> np.ndarray:
+        """The scan score of every slot (see the class docstring)."""
+        slots, coords, values = self._pairs
+        if len(values):
+            if self._postings is not None:  # only the pairs of the query's coordinates
+                order, ptr = self._postings
+                nonzero = query.nonzero()[0].tolist()
+                entries = np.concatenate([order[:0], *(order[ptr[c] : ptr[c + 1]] for c in nonzero)])
+                slots, coords, values = slots[entries], coords[entries], values[entries]
+            # (bincount gives integers when it counts nothing)
+            scores = np.bincount(slots, values * query[coords], self._sealed).astype(np.float64, copy=False)
+            for first, block in self._blocks:
+                scores[first : first + len(block)] += block @ query
+            parts = [scores]
+        else:  # every sealed row is in a block
+            parts = [block @ query for _, block in self._blocks]
+        if len(self._keys) > self._sealed:
+            parts.append(self._stage[: len(self._keys) - self._sealed] @ query)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def search(
         self, query: np.ndarray, k: int, floor: float | None = None
@@ -396,27 +459,20 @@ class VectorRows:
         ``floor``, when given, is the score below which the caller rejects
         the query; see ``top_k``.
         """
-        n = len(self._keys)
-        if not n:
+        if not self._row_of:
             return []
-        # a row-major first block has never filled, so it is the only one in use
-        nonzero = None if self._blocks[0].flags.c_contiguous else np.flatnonzero(query)
-        parts = []
-        for index, block in enumerate(self._blocks[: -(-n // _BLOCK_ROWS)]):
-            if block.flags.c_contiguous:
-                parts.append(block[: n - index * _BLOCK_ROWS] @ query)
-            else:
-                parts.append(query[nonzero] @ block.T.take(nonzero, axis=0))
-        scores = parts[0][:n] if len(parts) == 1 else np.concatenate(parts)[:n]
+        scores = self._scores(query)
+        if self._removed:
+            scores[self._removed] = -2.0  # below every stored row
         scaled = scores * 1e9
         scaled -= np.rint(scaled)
-        flagged = np.flatnonzero(np.abs(scaled) >= 0.5 - self._margin)
+        flagged = (np.abs(scaled) >= 0.5 - self._margin).nonzero()[0]
         if len(flagged) > k:  # re-score only the rows ``top_k`` can rank
-            kth = scores.max() if k == 1 else np.partition(scores, n - k)[n - k]
+            kth = scores.max() if k == 1 else np.sort(scores)[-k]
             flagged = flagged[scores[flagged] >= kth - 1e-8]
         for row in flagged.tolist():
             scores[row] = self._dot(query, row)
-        ranked = top_k(scores, self._keys, k, floor)
+        ranked = top_k(scores, self._keys, min(k, len(self._row_of)), floor)
         return [(self._keys[row], self._dot(query, row)) for row in ranked]
 
 
@@ -428,37 +484,34 @@ def top_k(
     Equals ``sorted(range(n), key=lambda i: (-round(float(scores[i]), 9),
     keys[i]))[:k]`` exactly. Rounding to 9 decimals moves a score by at most
     5e-10, so a score more than 1e-8 below the k-th largest raw score can
-    never reach the top k; ``np.partition`` (``max`` when k is 1) finds
-    that bound in linear time and only the scores above it are sorted.
+    never reach the top k; only the scores above that bound are ranked. It
+    is found by ``max`` when k is 1 and by ``np.sort`` otherwise, which,
+    unlike ``np.partition``, stays fast on the many exact ties a sparse
+    query leaves (every row that shares no coordinate with it scores 0.0).
 
     When ``floor`` is given and every score is more than 1e-8 below it, no
     position can reach it, and above 4k scores only the best one is ranked
     and returned: a caller that rejects the query needs no more.
 
-    For k = 1 the candidates are not sorted, since they may be hundreds of
-    exact ties (a query that shares no token with most rows scores 0.0 on
-    them all). Rounding is monotone, so the best rounded score is that of
-    the largest candidate, its ties are the candidates at or above the
-    smallest distinct value that rounds to it, and the smallest key among
-    them wins; only distinct values are rounded.
+    Only distinct values are rounded, and for k = 1 the best candidate is
+    found by ``min``, not a sort, as there may be hundreds of tied ones.
     """
     n = len(scores)
     if n <= 4 * k:
-        candidates = list(range(n))
+        candidates, values = list(range(n)), scores.tolist()
     else:
         top = scores.max()
         if floor is not None and top < floor - 1e-8:
             k = 1
-        kth = top if k == 1 else np.partition(scores, n - k)[n - k]
-        positions = np.flatnonzero(scores >= kth - 1e-8)
-        if k == 1 and len(positions) > 1:
-            values = scores[positions]
-            rounded = {value: round(value, 9) for value in set(values.tolist())}
-            best = max(rounded.values())
-            low = min(value for value, r in rounded.items() if r == best)
-            return [min(positions[values >= low].tolist(), key=keys.__getitem__)]
-        candidates = positions.tolist()
-    return sorted(candidates, key=lambda i: (-round(float(scores[i]), 9), keys[i]))[:k]
+        kth = top if k == 1 else np.sort(scores)[-k]
+        positions = (scores >= kth - 1e-8).nonzero()[0]
+        if len(positions) == 1:
+            return positions.tolist()
+        candidates, values = positions.tolist(), scores[positions].tolist()
+    rounded = {value: -round(value, 9) for value in set(values)}
+    ranked = zip(map(rounded.__getitem__, values), map(keys.__getitem__, candidates), candidates)
+    best = sorted(ranked)[:k] if k > 1 else [min(ranked)] if candidates else []
+    return [i for _, _, i in best]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

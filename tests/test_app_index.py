@@ -257,16 +257,26 @@ def test_register_reaches_neither_the_cache_nor_another_build(cold, backend):
 
 
 def test_shared_blocks_are_read_only(cold, backend):
+    # a warm build shares the cold build's stored rows; registering into
+    # either index, at the same rows of both, leaves the other one as it was
     catalog = random_catalog(random.Random(6), 300)
     first = AppIndex.build(catalog, backend, threshold=0.4)
     second = AppIndex.build(catalog, backend, threshold=0.4)
-    full, open_ = second._rows._blocks
-    assert np.shares_memory(full, first._rows._blocks[0])
-    assert not np.shares_memory(open_, first._rows._blocks[1])
-    with pytest.raises(ValueError):
-        second._rows.vector(catalog[0].package_id)[0] = 1.0
-    with pytest.raises(ValueError):
-        first._rows.vector(catalog[0].package_id)[0] = 1.0
+    queries = ["music stream radio", "weather alarm notes", "photo video cloud", "ride maps travel"]
+
+    def state(index):
+        return index.to_dict(), [index.retrieve(query, k=5) for query in queries]
+
+    before = state(first)
+    for i, query in enumerate(queries[:2]):
+        second.register(AppSeed(f"Second{i}", f"com.second{i}", query))
+    assert state(first) == before
+    assert second.retrieve(queries[0]).matches[0].package_id == "com.second0"
+    before = state(second)
+    for i, query in enumerate(queries[2:]):
+        first.register(AppSeed(f"First{i}", f"com.first{i}", query))
+    assert state(second) == before
+    assert first.retrieve(queries[2]).matches[0].package_id == "com.first0"
 
 
 def test_installed_and_store_builds_keep_their_own_sources(cold, backend):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocketrag import embedding
-from pocketrag.embedding import EmbeddingVector, VectorRows, top_k
+from pocketrag.embedding import EmbeddingVector, HashedTokenEmbedder, VectorRows, embed_row, top_k
+from pocketrag.errors import EmptyTextError
 from pocketrag.task_memory import MemoryStore
 
 from test_task_memory import make_trace
@@ -114,10 +117,19 @@ def test_rows_span_blocks_and_search_every_key():
 
 
 def test_rows_growth_never_moves_stored_rows():
-    rows, _ = rows_and_mirror(BLOCK)
-    first = rows.vector("key00000")
-    rows.add("extra", np.ones(4))  # opens the second block
-    assert np.shares_memory(first, rows.vector("key00000"))
+    # growth past the first sealed rows, with pair rows and dense rows, never
+    # changes a stored vector, nor one of a copy taken before it
+    rows, mirror = rows_and_mirror(BLOCK)
+    copied, expected = rows.copy(), dict(mirror)
+    rng = np.random.default_rng(1)
+    for i in range(BLOCK + 1):
+        mirror[f"extra{i:03d}"] = np.eye(4)[i % 4] if i % 2 else rng.standard_normal(4)
+        rows.add(f"extra{i:03d}", mirror[f"extra{i:03d}"])
+    assert_store_matches(rows, mirror)
+    assert_store_matches(copied, expected)
+    query = np.arange(4, dtype=np.float64)
+    assert rows.search(query, 5) == oracle_search(mirror, query, 5)
+    assert copied.search(query, 5) == oracle_search(expected, query, 5)
 
 
 def test_vector_view_lasts_until_the_next_add_or_remove():
@@ -136,19 +148,23 @@ def test_vector_view_lasts_until_the_next_add_or_remove():
     "remove", [[0], [N - 1], [BLOCK, BLOCK, 0], [N - 1, N - 2, BLOCK - 1]]
 )
 def test_swap_remove_moves_last_row_into_the_gap(remove):
+    # ``remove`` names rows as a swap-remove moves keys: the last key into
+    # the gap; every key left keeps its vector, search matches the oracle,
+    # and a copy taken before the removes keeps every key
     rows, mirror = rows_and_mirror()
+    copied, expected = rows.copy(), dict(mirror)
     order = list(mirror)  # the key of each row
+    query = np.ones(4)
     for row in remove:
-        key, last = order[row], order[-1]
-        gap = rows.vector(key)
-        order[row] = last
+        key = order[row]
+        order[row] = order[-1]
         order.pop()
         del mirror[key]
         rows.remove(key)
-        if last != key:
-            assert np.shares_memory(gap, rows.vector(last))
         assert_store_matches(rows, mirror)
-    assert rows.search(np.ones(4), 5) == oracle_search(mirror, np.ones(4), 5)
+        assert rows.search(query, 5) == oracle_search(mirror, query, 5)
+    assert_store_matches(copied, expected)
+    assert copied.search(query, 5) == oracle_search(expected, query, 5)
 
 
 def test_drained_rows_accept_rows_again():
@@ -227,6 +243,96 @@ def test_store_behaves_as_a_dict_with_a_full_sort(ops):
             assert_store_matches(rows, mirror)
         for store, contents in copied:
             assert_store_matches(store, contents)
+    finally:
+        embedding._BLOCK_ROWS = original
+
+
+# the reference embedder's rows: 1-6 tokens of a 10-word vocabulary at
+# d = 384, so rows share coordinates, repeat and tie, and hold 1-6 non-zeros
+HASHED = HashedTokenEmbedder(384)
+WORDS = "alpha bravo charlie delta echo foxtrot golf hotel india juliet".split()
+texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
+
+
+@functools.lru_cache(maxsize=None)
+def hashed_row(text):
+    """The unit row of ``text``, or None when its tokens' signed hashes cancel."""
+    try:
+        return embed_row(HASHED, text)
+    except EmptyTextError:
+        return None
+
+
+hashed_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 30), texts),
+        st.tuples(st.just("remove"), st.integers(0, 30)),
+        st.tuples(st.just("search"), texts, st.integers(1, 6)),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150)
+@given(hashed_operations)
+def test_hashed_rows_behave_as_a_dict_with_a_full_sort(ops):
+    # stages of 4 rows: within a few adds rows are sealed into pairs, then
+    # into the postings, and removes rebuild the store; after a copy the ops
+    # go on on the copy, and the store it copied must not change
+    original = embedding._BLOCK_ROWS
+    embedding._BLOCK_ROWS = 4
+    try:
+        rows = VectorRows(384)
+        mirror = {}
+        copied = []
+        for op in ops:
+            if op[0] == "copy":
+                copied.append((rows, dict(mirror)))
+                rows = rows.copy()
+            elif op[0] == "add":
+                key = f"k{op[1]:02d}"
+                if key in mirror or hashed_row(op[2]) is None:
+                    continue
+                mirror[key] = hashed_row(op[2])
+                rows.add(key, mirror[key])
+            elif op[0] == "remove":
+                key = f"k{op[1]:02d}"
+                if key not in mirror:
+                    continue
+                del mirror[key]
+                rows.remove(key)
+            elif hashed_row(op[1]) is not None:
+                query = hashed_row(op[1])
+                assert rows.search(query, op[2]) == oracle_search(mirror, query, op[2])
+            assert_store_matches(rows, mirror)
+        for store, contents in copied:
+            assert_store_matches(store, contents)
+            for text in ("alpha", "bravo charlie", "delta echo foxtrot golf"):
+                assert store.search(hashed_row(text), 3) == oracle_search(contents, hashed_row(text), 3)
+    finally:
+        embedding._BLOCK_ROWS = original
+
+
+# coordinates of rows that are pairs, dense, all zero or all -0.0
+SIGNED = st.sampled_from([0.0, 0.0, 0.0, -0.0, -0.0, 0.5, -0.5, 1.0, 2.0**-30])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(SIGNED, min_size=8, max_size=8), max_size=20), st.integers(0, 20))
+def test_vector_gives_back_every_bit(vectors, copy_at):
+    original = embedding._BLOCK_ROWS
+    embedding._BLOCK_ROWS = 4
+    try:
+        rows = VectorRows(8)
+        for i, vector in enumerate(vectors):
+            if i == copy_at:
+                rows = rows.copy()
+            rows.add(f"k{i:02d}", np.array(vector))
+        for i, vector in enumerate(vectors):
+            stored = rows.vector(f"k{i:02d}")
+            assert stored.tobytes() == np.array(vector).tobytes()
+            assert np.array_equal(np.signbit(stored), np.signbit(vector))
     finally:
         embedding._BLOCK_ROWS = original
 

@@ -107,6 +107,34 @@ def test_transposed_blocks_save_each_vector_as_embedded(tmp_path):
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_negative_zero_coordinates_save_back_byte_for_byte(tmp_path):
+    """Files whose vectors hold -0.0 load and save back to the same bytes.
+
+    Each vector gets -0.0 at two of its zero coordinates, so it still loads
+    as pairs, and there are enough vectors to seal a stage of them.
+    """
+    backend = HashedTokenEmbedder()
+    count = embedding._BLOCK_ROWS + 3
+    texts = [f"remember task {i} {VOCAB[i % len(VOCAB)]}" for i in range(count)]
+    counter = itertools.count(1)
+    memory = MemoryStore(backend, clock=lambda: float(next(counter)))
+    for text in texts:
+        memory.commit(text, make_trace())
+    seeds = [AppSeed(f"App{i}", f"com.app{i:04d}", text) for i, text in enumerate(texts)]
+    index = AppIndex.build(seeds, backend, threshold=0.4)
+    for store, field in ((memory, "records"), (index, "apps")):
+        store.save(tmp_path / "a.json")
+        data = json.loads((tmp_path / "a.json").read_text())
+        for i, entry in enumerate(data[field]):
+            zeros = [j for j, x in enumerate(entry["embedding"]) if x == 0.0]
+            for j in (zeros[i % len(zeros)], zeros[-1 - i % len(zeros)]):
+                entry["embedding"][j] = -0.0
+        (tmp_path / "a.json").write_text(json.dumps(data, indent=2))
+        assert "-0.0" in (tmp_path / "a.json").read_text()
+        type(store).load(tmp_path / "a.json").save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_load_threshold_override(tmp_path):
     evicting_memory().save(tmp_path / "memory.json")
     registered_index().save(tmp_path / "index.json")
