@@ -40,13 +40,12 @@ from .embedding import (
     VectorRows,
     embed,  # unused here, but kept: perfbench's tracer wraps ``app_index.embed``
     embed_row,
-    resolve_backend,
+    read_vector_file,
     tokenize,
     write_text_atomic,
 )
 from .errors import (
     ConflictingRecordError,
-    DimensionMismatchError,
     DuplicatePackageIdError,
     EmptyDescriptionError,
     EmptyQueryError,
@@ -331,14 +330,7 @@ class AppIndex:
         """
         where = f"index file {str(path)!r}"
         with malformed(MalformedEntryError, where):
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            if backend is None:
-                backend = resolve_backend(data["backend"])
-            if backend.dimension != data["dimension"]:
-                raise DimensionMismatchError(
-                    f"index file has dimension {data['dimension']}, "
-                    f"backend {backend.name!r} produces {backend.dimension}"
-                )
+            data, backend = read_vector_file(path, backend, "index")
             index = cls(backend, data["threshold"] if threshold is None else threshold)
             apps, rows = [], []
             for position, entry in enumerate(data["apps"]):

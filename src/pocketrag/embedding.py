@@ -27,13 +27,15 @@ the postings of the query's own non-zero coordinates (5-8 of 384 from
 the reference embedder), an inverted file (Zobel and Moffat, ACM
 Computing Surveys 2006). Sealed arrays are never written again, so a
 ``copy`` shares them. Hits are ranked and reported exactly, by 1-D dot
-products. ``write_text_atomic`` writes every file the package writes.
+products. ``write_text_atomic`` writes every file the package writes;
+``read_vector_file`` reads the header of an index or a memory file.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 import os
 import re
@@ -307,15 +309,22 @@ class VectorRows:
     (Higham, "Accuracy and Stability of Numerical Algorithms", §3.1), and
     ``embed_row`` keeps |q|, |v| ≤ 1 + 1e-6. So a scan score is within ε =
     2·γ_d·(1 + 1e-6)² (8.5e-14 at d = 384) of the reported 1-D dot of the
-    query and the row (rebuilt dense from its pairs), and only a scan score
-    within ε of a rounding boundary (m + 0.5)·1e-9 can round to another 9th
-    decimal. ``search`` flags them as the scores s with |s·1e9 −
-    rint(s·1e9)| ≥ 0.5 − 1e9·(ε + 2^-52), where 2^-52 covers the rounding
-    of s·1e9 for |s| < 2, and replaces just those by the 1-D dot before
-    ``top_k`` ranks, as FAISS re-ranks a coarse scan (Douze et al.,
-    arXiv:2401.08281). Of more than k flagged rows, only those scanned
-    within 1e-8 of the k-th best scan score are re-scored: as 1e-8 > 2ε +
-    1e-9, the others rank below k rounded scores either way.
+    query and the row (rebuilt dense from its pairs).
+
+    ``search`` finds the k-th best scan score once (by ``max`` when k is 1,
+    otherwise by ``np.sort``, which, unlike ``np.partition``, stays fast on
+    the many exact ties a sparse query leaves: every row that shares no
+    coordinate with it scores 0.0) and keeps as candidates the slots scanned
+    within 1e-8 of it, or every slot when there are at most 4k. Rounding to
+    9 decimals moves a score by at most 5e-10, and 1e-8 > 2ε + 1e-9, so any
+    other slot ranks below k rounded 1-D dots either way. Among the
+    candidates, only a scan score within ε of a rounding boundary (m +
+    0.5)·1e-9 can round to another 9th decimal than its 1-D dot. ``search``
+    flags them as the scores s with |s·1e9 − rint(s·1e9)| ≥ 0.5 − 1e9·(ε +
+    2^-52), where 2^-52 covers the rounding of s·1e9 for |s| < 2, replaces
+    just those by the 1-D dot, as FAISS re-ranks a coarse scan (Douze et
+    al., arXiv:2401.08281), and ranks the candidates by rounded score, then
+    key.
     """
 
     def __init__(self, dimension: int) -> None:
@@ -432,86 +441,62 @@ class VectorRows:
 
     def _scores(self, query: np.ndarray) -> np.ndarray:
         """The scan score of every slot (see the class docstring)."""
+        if not self._sealed:  # as in every desk memory: no bincount to pay for
+            return self._stage[: len(self._keys)] @ query
         slots, coords, values = self._pairs
-        if len(values):
-            if self._postings is not None:  # only the pairs of the query's coordinates
-                order, ptr = self._postings
-                nonzero = query.nonzero()[0].tolist()
-                entries = np.concatenate([order[:0], *(order[ptr[c] : ptr[c + 1]] for c in nonzero)])
-                slots, coords, values = slots[entries], coords[entries], values[entries]
-            # (bincount gives integers when it counts nothing)
-            scores = np.bincount(slots, values * query[coords], self._sealed).astype(np.float64, copy=False)
-            for first, block in self._blocks:
-                scores[first : first + len(block)] += block @ query
-            parts = [scores]
-        else:  # every sealed row is in a block
-            parts = [block @ query for _, block in self._blocks]
+        # only the pairs of the query's coordinates; a store of dense rows has
+        # postings too, all empty, and walking them costs more than its scan
+        if len(values) and self._postings is not None:
+            order, ptr = self._postings
+            nonzero = query.nonzero()[0].tolist()
+            entries = np.concatenate([order[:0], *(order[ptr[c] : ptr[c + 1]] for c in nonzero)])
+            slots, coords, values = slots[entries], coords[entries], values[entries]
+        # (bincount gives integers when it counts nothing)
+        scores = np.bincount(slots, values * query[coords], len(self._keys)).astype(np.float64, copy=False)
+        for first, block in self._blocks:
+            scores[first : first + len(block)] += block @ query
         if len(self._keys) > self._sealed:
-            parts.append(self._stage[: len(self._keys) - self._sealed] @ query)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            scores[self._sealed :] += self._stage[: len(self._keys) - self._sealed] @ query
+        return scores
 
     def search(
         self, query: np.ndarray, k: int, floor: float | None = None
     ) -> list[tuple[str, float]]:
-        """The ``k`` best keys for ``query`` with their 1-D dot products, ranked
-        by ``top_k`` over those products, though only a few are computed.
+        """The ``k`` best keys for ``query`` with their 1-D dot products: by
+        rounded dot product descending, then key, as ``sorted(keys, key=lambda
+        key: (-round(dot(key), 9), key))[:k]`` ranks them, though only a few
+        dot products are computed (see the class docstring).
 
         ``floor``, when given, is the score below which the caller rejects
-        the query; see ``top_k``.
+        the query: when every scan score is more than 1e-8 below it and the
+        store holds more than 4k slots, only the best key is returned.
         """
         if not self._row_of:
             return []
         scores = self._scores(query)
         if self._removed:
             scores[self._removed] = -2.0  # below every stored row
-        scaled = scores * 1e9
+        k, kth = min(k, len(self._row_of)), -np.inf  # at most 4k slots: rank them all
+        if len(scores) > 4 * k:
+            top = scores.max()
+            if floor is not None and top < floor - 1e-8:
+                k = 1
+            kth = top if k == 1 else np.sort(scores)[-k]
+        rows = (scores >= kth - 1e-8).nonzero()[0]
+        if len(rows) == 1:
+            row = int(rows[0])
+            return [(self._keys[row], self._dot(query, row))]
+        values = scores[rows]
+        scaled = values * 1e9
         scaled -= np.rint(scaled)
-        flagged = (np.abs(scaled) >= 0.5 - self._margin).nonzero()[0]
-        if len(flagged) > k:  # re-score only the rows ``top_k`` can rank
-            kth = scores.max() if k == 1 else np.sort(scores)[-k]
-            flagged = flagged[scores[flagged] >= kth - 1e-8]
-        for row in flagged.tolist():
-            scores[row] = self._dot(query, row)
-        ranked = top_k(scores, self._keys, min(k, len(self._row_of)), floor)
-        return [(self._keys[row], self._dot(query, row)) for row in ranked]
-
-
-def top_k(
-    scores: np.ndarray, keys: Sequence[str], k: int, floor: float | None = None
-) -> list[int]:
-    """Positions of the ``k`` best scores: rounded score descending, then key.
-
-    Equals ``sorted(range(n), key=lambda i: (-round(float(scores[i]), 9),
-    keys[i]))[:k]`` exactly. Rounding to 9 decimals moves a score by at most
-    5e-10, so a score more than 1e-8 below the k-th largest raw score can
-    never reach the top k; only the scores above that bound are ranked. It
-    is found by ``max`` when k is 1 and by ``np.sort`` otherwise, which,
-    unlike ``np.partition``, stays fast on the many exact ties a sparse
-    query leaves (every row that shares no coordinate with it scores 0.0).
-
-    When ``floor`` is given and every score is more than 1e-8 below it, no
-    position can reach it, and above 4k scores only the best one is ranked
-    and returned: a caller that rejects the query needs no more.
-
-    Only distinct values are rounded, and for k = 1 the best candidate is
-    found by ``min``, not a sort, as there may be hundreds of tied ones.
-    """
-    n = len(scores)
-    if n <= 4 * k:
-        candidates, values = list(range(n)), scores.tolist()
-    else:
-        top = scores.max()
-        if floor is not None and top < floor - 1e-8:
-            k = 1
-        kth = top if k == 1 else np.sort(scores)[-k]
-        positions = (scores >= kth - 1e-8).nonzero()[0]
-        if len(positions) == 1:
-            return positions.tolist()
-        candidates, values = positions.tolist(), scores[positions].tolist()
-    rounded = {value: -round(value, 9) for value in set(values)}
-    ranked = zip(map(rounded.__getitem__, values), map(keys.__getitem__, candidates), candidates)
-    best = sorted(ranked)[:k] if k > 1 else [min(ranked)] if candidates else []
-    return [i for _, _, i in best]
+        rows, values = rows.tolist(), values.tolist()
+        for i in (np.abs(scaled) >= 0.5 - self._margin).nonzero()[0].tolist():
+            values[i] = self._dot(query, rows[i])
+        # round each distinct value once: hundreds of candidates may tie
+        rounded = {value: -round(value, 9) for value in set(values)}
+        ranked = zip(map(rounded.__getitem__, values), map(self._keys.__getitem__, rows), rows)
+        best = sorted(ranked)[:k] if k > 1 else [min(ranked)]
+        return [(key, self._dot(query, row)) for _, key, row in best]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -551,3 +536,23 @@ def resolve_backend(name: str) -> EmbedderBackend:
     if factory is None:
         raise BackendFailureError(f"no registered embedder backend named {name!r}")
     return factory()
+
+
+def read_vector_file(
+    path: str | Path, backend: EmbedderBackend | None, kind: str
+) -> tuple[dict, EmbedderBackend]:
+    """The JSON of an index or memory file, and ``backend``, or when that is
+    None the backend the file names.
+
+    Raises DimensionMismatchError ("``kind`` file has dimension …") when the
+    file's dimension differs from the backend's.
+    """
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if backend is None:
+        backend = resolve_backend(data["backend"])
+    if backend.dimension != data["dimension"]:
+        raise DimensionMismatchError(
+            f"{kind} file has dimension {data['dimension']}, "
+            f"backend {backend.name!r} produces {backend.dimension}"
+        )
+    return data, backend

@@ -35,11 +35,10 @@ from .embedding import (
     embed,  # unused here, but kept: perfbench's tracer wraps ``task_memory.embed``
     embed_row,
     normalize_text,
-    resolve_backend,
+    read_vector_file,
     write_text_atomic,
 )
 from .errors import (
-    DimensionMismatchError,
     EmptyQueryError,
     EmptyTraceError,
     MalformedEntryError,
@@ -186,10 +185,7 @@ class MemoryStore:
         """
         if not query.strip():
             raise EmptyQueryError("memory commit query is empty")
-        if not trace.steps:
-            raise EmptyTraceError("cannot commit an empty trace")
-        if not trace.ends_with_stop:
-            raise TraceWithoutStopError("committed traces must end with stop")
+        _check_trace(trace)
         key = normalize_text(query)
         if key in self._records:
             query_text, created_at, success_count, seq = self._records[key]
@@ -263,14 +259,7 @@ class MemoryStore:
         """
         where = f"memory file {str(path)!r}"
         with malformed(MalformedEntryError, where):
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            if backend is None:
-                backend = resolve_backend(data["backend"])
-            if backend.dimension != data["dimension"]:
-                raise DimensionMismatchError(
-                    f"memory file has dimension {data['dimension']}, "
-                    f"backend {backend.name!r} produces {backend.dimension}"
-                )
+            data, backend = read_vector_file(path, backend, "memory")
             if threshold is None:
                 threshold = data.get("threshold", DEFAULT_MEMORY_THRESHOLD)
             store = cls(backend, threshold=threshold, capacity=data.get("capacity"), clock=clock)
@@ -286,11 +275,22 @@ class MemoryStore:
                         seq=int(entry.get("seq", 0)),
                     )
                     vector = EmbeddingVector(entry["embedding"])
+                _check_trace(record.trace, f"{where}, record {position}: ")
                 store._rows.add(record.normalized_query, vector.values)
                 store._keep(record)
                 max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
         return store
+
+
+def _check_trace(trace: ActionTrace, lead: str = "") -> None:
+    """Raise EmptyTraceError for an empty trace and TraceWithoutStopError for
+    one that does not end with stop, each message after ``lead``: memory
+    keeps neither."""
+    if not trace.steps:
+        raise EmptyTraceError(f"{lead}cannot commit an empty trace")
+    if not trace.ends_with_stop:
+        raise TraceWithoutStopError(f"{lead}committed traces must end with stop")
 
 
 def replay(record: MemoryRecord, device: Device) -> ReplayOutcome:

@@ -15,9 +15,11 @@ from pocketrag.bench import BenchmarkTask
 from pocketrag.cli import main
 from pocketrag.errors import (
     DimensionMismatchError,
+    EmptyTraceError,
     MalformedEntryError,
     PlannerFailureError,
     ScenarioError,
+    TraceWithoutStopError,
 )
 from pocketrag.planning import ScriptedPlanner
 from pocketrag.simulator import Scenario
@@ -427,6 +429,39 @@ def test_memory_ls_on_malformed_flag_changes_exits_2(tmp_path, scenario_file, ta
     with pytest.raises(MalformedEntryError, match="record 0"):
         MemoryStore.load(memory_path)
     assert main(["memory", "ls", "--store", str(memory_path)]) == 2
+    assert "record 0" in capsys.readouterr().err
+
+
+def _empty_trace(record):
+    record["trace"] = []
+
+
+def _drop_stop(record):
+    record["trace"] = record["trace"][:-1]
+
+
+@pytest.mark.parametrize(
+    "tamper, error",
+    [(_empty_trace, EmptyTraceError), (_drop_stop, TraceWithoutStopError)],
+    ids=["empty", "no-stop"],
+)
+def test_memory_file_with_a_trace_commit_refuses_exits_2(
+    tmp_path, scenario_file, task_file, capsys, tamper, error
+):
+    memory_path = tmp_path / "memory.json"
+    run = ["run", "--scenario", str(scenario_file), "--task", str(task_file),
+           "--memory", str(memory_path), "--tau-local", "0.3"]
+    assert main(run) == 0
+    data = json.loads(memory_path.read_text())
+    assert len(data["records"][0]["trace"]) > 1
+    tamper(data["records"][0])
+    memory_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    with pytest.raises(error, match="record 0"):
+        MemoryStore.load(memory_path)
+    assert main(["memory", "ls", "--store", str(memory_path)]) == 2
+    assert "record 0" in capsys.readouterr().err
+    assert main(run) == 2  # refused before the stored trace is replayed
     assert "record 0" in capsys.readouterr().err
 
 

@@ -1,4 +1,4 @@
-"""The shared exact search kernel: ``top_k`` ranking and the ``VectorRows`` store."""
+"""The shared exact search kernel: the ``VectorRows`` store and its ranking."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocketrag import embedding
-from pocketrag.embedding import EmbeddingVector, HashedTokenEmbedder, VectorRows, embed_row, top_k
+from pocketrag.embedding import EmbeddingVector, HashedTokenEmbedder, VectorRows, embed_row
 from pocketrag.errors import EmptyTextError
 from pocketrag.task_memory import MemoryStore
 
@@ -47,11 +47,20 @@ def scored_keys(draw):
     return scores, keys, k
 
 
+def top_k(scores, keys, k, floor=None):
+    """The keys ``search`` ranks first when each row, ``[s]`` under its key,
+    scores exactly s: its dot with the query ``[1.0]``."""
+    rows = VectorRows(1)
+    for key, score in zip(keys, scores):
+        rows.add(key, np.array([score]))
+    return [key for key, _ in rows.search(np.array([1.0]), k, floor)]
+
+
 @settings(max_examples=200)
 @given(scored_keys())
 def test_top_k_equals_full_sort(case):
     scores, keys, k = case
-    expected = full_sort(scores, keys, k)
+    expected = [keys[i] for i in full_sort(scores, keys, k)]
     assert top_k(scores, keys, k) == expected
     assert top_k(scores, keys, k, floor=-2.0) == expected
     # every score is below a floor of 2: above 4k scores only the best is ranked
@@ -61,20 +70,20 @@ def test_top_k_equals_full_sort(case):
 def test_top_k_breaks_exact_ties_by_key():
     scores = np.array([0.7, 0.9, 0.9, 0.1, 0.9, 0.2, 0.3, 0.4, 0.5, 0.6])
     keys = ["j", "c", "a", "d", "b", "e", "f", "g", "h", "i"]
-    assert [keys[i] for i in top_k(scores, keys, 2)] == ["a", "b"]
+    assert top_k(scores, keys, 2) == ["a", "b"]
 
 
 def test_top_k_ranks_near_ties_as_ties():
     # equal after rounding to 9 decimals, so the smaller key wins
     scores = np.array([0.5 + 4e-10, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
     keys = ["z", "y", "a", "b", "c", "d", "e", "f", "g", "h"]
-    assert [keys[i] for i in top_k(scores, keys, 1)] == ["y"]
-    assert [keys[i] for i in top_k(scores, keys, 2)] == ["y", "z"]
+    assert top_k(scores, keys, 1) == ["y"]
+    assert top_k(scores, keys, 2) == ["y", "z"]
 
 
 def test_top_k_with_k_above_n_returns_all():
     scores = np.array([0.2, 0.8, 0.5])
-    assert top_k(scores, ["a", "b", "c"], 10) == [1, 2, 0]
+    assert top_k(scores, ["a", "b", "c"], 10) == ["b", "c", "a"]
     assert top_k(np.array([]), [], 3) == []
 
 
@@ -133,13 +142,13 @@ def test_rows_growth_never_moves_stored_rows():
 
 
 def test_vector_view_lasts_until_the_next_add_or_remove():
-    # the add that fills a block replaces it by its transpose, so a view
-    # taken before that add keeps the old copy and misses later moves
+    # the add that fills the stage seals its rows into new arrays, so a view
+    # taken before that add keeps the staged copy and misses later writes
     rows, mirror = rows_and_mirror(BLOCK - 1)
     stale = rows.vector("key00000")
     rows.add("fill", np.ones(4))  # fills the first block
     assert not np.shares_memory(stale, rows.vector("key00000"))
-    rows.remove("key00000")  # moves "fill" into row 0
+    rows.remove("key00000")  # leaves "fill" in its own slot
     assert np.array_equal(rows.vector("fill"), np.ones(4))
     assert np.array_equal(stale, mirror["key00000"])
 
@@ -453,7 +462,7 @@ def test_search_rescores_only_near_a_rounding_boundary(monkeypatch):
     assert dotted == [2]
 
 
-def test_search_rescores_at_most_the_rows_top_k_can_rank(monkeypatch, backend):
+def test_search_rescores_at_most_the_candidate_rows(monkeypatch, backend):
     # a 4-token query scores 1/√5, within ε of a 9th-decimal boundary, against
     # every 5-token row that shares 2 of its tokens: thousands of rows here
     store = MemoryStore(backend)

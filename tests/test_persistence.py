@@ -81,11 +81,11 @@ def test_memory_round_trip_keeps_bytes_and_routes(tmp_path):
         )
 
 
-def test_transposed_blocks_save_each_vector_as_embedded(tmp_path):
-    """Stores that fill a block, which then transposes, write the same floats.
+def test_sealed_rows_save_each_vector_as_embedded(tmp_path):
+    """Stores that fill and seal their stage write the same floats.
 
-    The memory's capacity evicts its two oldest records from the transposed
-    block, so the last vectors are moved into its columns.
+    The memory's capacity evicts its two oldest records from the sealed
+    rows, so two of their slots are left unused.
     """
     backend = HashedTokenEmbedder()
     count = embedding._BLOCK_ROWS + 3
