@@ -23,7 +23,7 @@ store); each act is 1 planner call plus 1 mobile step, and is reflected on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .app_index import AppIndex, AppMatch, RetrievalOutcome
@@ -231,27 +231,6 @@ def _retrieve(index: AppIndex, app_query: str, k: int) -> RetrievalOutcome:
         raise NoAppAnywhereError(f"no app matches {app_query!r}: {exc}") from exc
 
 
-class _RunState:
-    """Mutable bookkeeping for one run_task invocation."""
-
-    def __init__(self) -> None:
-        self.planner_calls = 0
-        self.searches = 0
-        self.installs = 0
-        self.memory_hit = MEMORY_HIT_NONE
-        self.guidance: str | None = None
-        self.knowledge: str | None = None
-        self.candidates: tuple[AppMatch, ...] | None = None
-        self.notices: list[str] = []
-        self.history: list[HistoryEntry] = []
-        self.reflections: list[tuple[int, ReflectionVerdict]] = []
-        self.app_selections: list[tuple[str, str]] = []
-        self.events: list[dict] = []
-
-    def log(self, event: str, **payload) -> None:
-        self.events.append({"event": event, **payload})
-
-
 def run_task(
     instruction: str,
     scenario: Scenario,
@@ -274,191 +253,199 @@ def run_task(
         raise ScenarioMismatchError(
             "index packages do not match the scenario's installed apps"
         )
-    state = _RunState()
-
-    outcome = _memory_phase(instruction, device, index, memory, state)
-    if outcome is None:
-        outcome = _planning_loop(
-            instruction, device, index, search_backend, planner, reflector,
-            config, state,
-        )
+    run = _Run(instruction, device, index, memory, search_backend, planner, reflector, config)
+    outcome = run.memory_phase() or run.planning_loop()
 
     trace = ActionTrace(steps=tuple(device.history))
     if outcome == OUTCOME_SUCCESS:
         try:
             memory.commit(instruction, trace)
         except EmptyTextError:
-            state.log(EVENT_MEMORY_COMMIT, query=instruction, skipped="unembeddable")
+            run.log(EVENT_MEMORY_COMMIT, query=instruction, skipped="unembeddable")
         else:
-            state.log(EVENT_MEMORY_COMMIT, query=instruction, trace_length=len(trace))
+            run.log(EVENT_MEMORY_COMMIT, query=instruction, trace_length=len(trace))
     counters = RunCounters(
-        planner_calls=state.planner_calls,
+        planner_calls=run.planner_calls,
         mobile_steps=len(trace),
-        searches=state.searches,
-        installs=state.installs,
-        memory_hit=state.memory_hit,
+        searches=run.searches,
+        installs=run.installs,
+        memory_hit=run.memory_hit,
     )
-    state.log(EVENT_RUN_END, outcome=outcome, counters=counters.to_dict())
+    run.log(EVENT_RUN_END, outcome=outcome, counters=counters.to_dict())
     return TaskRun(
         task_id=task_id,
         outcome=outcome,
         trace=trace,
-        app_selections=tuple(state.app_selections),
-        reflections=tuple(state.reflections),
+        app_selections=tuple(run.app_selections),
+        reflections=tuple(run.reflections),
         counters=counters,
-        events=tuple(state.events),
+        events=tuple(run.events),
     )
 
 
-def _memory_phase(
-    instruction: str,
-    device: Device,
-    index: AppIndex,
-    memory: MemoryStore,
-    state: _RunState,
-) -> str | None:
-    """Route through memory; returns a final outcome on completed replay."""
-    try:
-        match = memory.lookup(instruction)
-    except EmptyTextError:  # nothing can be similar to the zero vector
-        match = None
-    if match is None or match.is_none:
-        state.log(EVENT_MEMORY_LOOKUP, hit=MEMORY_HIT_NONE)
-        return None
-    state.memory_hit = match.kind
-    if match.is_similar:
-        state.guidance = render_guidance(match.record)
-        state.log(
-            EVENT_MEMORY_LOOKUP, hit=match.kind, matched_query=match.record.query_text, score=match.score
-        )
-        return None
+@dataclass
+class _Run:
+    """One run_task invocation: what it works with, and its bookkeeping."""
 
-    # exact hit: reacquire any store apps the trace launches, then replay
-    state.log(EVENT_MEMORY_LOOKUP, hit=match.kind, matched_query=match.record.query_text)
-    # the index mirrors the installed apps; the replay aborts on an unsold one
-    for step in match.record.trace.steps:
-        action = step.action
-        if action.kind == "launch" and action.package not in index:
-            try:
-                seed = device.install_from_store(action.package)
-            except NotInStoreError:
-                continue
-            index.register(seed)
-            state.installs += 1
-            state.log(EVENT_INSTALL, package=action.package, phase="replay_prepare")
+    instruction: str
+    device: Device
+    index: AppIndex
+    memory: MemoryStore
+    search_backend: SearchBackend
+    planner: Planner
+    reflector: Reflector
+    config: AgentConfig
+    planner_calls: int = 0
+    searches: int = 0
+    installs: int = 0
+    memory_hit: str = MEMORY_HIT_NONE
+    guidance: str | None = None
+    knowledge: str | None = None
+    candidates: tuple[AppMatch, ...] | None = None
+    notices: list[str] = field(default_factory=list)
+    history: list[HistoryEntry] = field(default_factory=list)
+    reflections: list[tuple[int, ReflectionVerdict]] = field(default_factory=list)
+    app_selections: list[tuple[str, str]] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
 
-    result = replay(match.record, device)
-    if result.completed:
-        state.log(EVENT_REPLAY, status=result.status, actions=result.actions_executed)
-        return OUTCOME_SUCCESS
-    # demote the aborted record to similar-style guidance and plan onward
-    state.guidance = render_guidance(match.record)
-    state.log(
-        EVENT_REPLAY,
-        status=result.status,
-        actions=result.actions_executed,
-        abort_index=result.abort_index,
-        reason=result.reason,
-    )
-    return None
+    def log(self, event: str, **payload) -> None:
+        self.events.append({"event": event, **payload})
 
-
-def _planning_loop(
-    instruction: str,
-    device: Device,
-    index: AppIndex,
-    search_backend: SearchBackend,
-    planner: Planner,
-    reflector: Reflector,
-    config: AgentConfig,
-    state: _RunState,
-) -> str:
-    while True:
-        steps_consumed = len(device.history) + state.installs * INSTALL_STEP_COST
-        if state.planner_calls >= config.max_planner_calls:
-            state.log(EVENT_BUDGET, exhausted="planner_calls")
-            return OUTCOME_BUDGET
-        if steps_consumed >= config.max_steps:
-            state.log(EVENT_BUDGET, exhausted="mobile_steps")
-            return OUTCOME_BUDGET
-
-        context = PlannerContext(
-            instruction=instruction,
-            screen=device.observe(),
-            history=tuple(state.history),
-            step_budget_remaining=config.max_steps - steps_consumed,
-            memory_guidance=state.guidance,
-            knowledge=state.knowledge,
-            app_candidates=state.candidates,
-            notices=tuple(state.notices),
-        )
-        decision = planner.plan(context)
-        state.planner_calls += 1
-        state.log(EVENT_DECISION, kind=decision.kind, detail=_decision_detail(decision))
-
-        if decision.kind == DECISION_NEED_KNOWLEDGE:
-            query = formulate_query(instruction, decision.entities)
-            context_out = search(search_backend, query)
-            state.knowledge = context_out.digest
-            state.searches += 1
-            state.log(
-                EVENT_RETRIEVAL,
-                stage="web",
-                query=query.text,
-                results=len(context_out.results),
+    def memory_phase(self) -> str | None:
+        """Route through memory; returns a final outcome on completed replay."""
+        try:
+            match = self.memory.lookup(self.instruction)
+        except EmptyTextError:  # nothing can be similar to the zero vector
+            match = None
+        if match is None or match.is_none:
+            self.log(EVENT_MEMORY_LOOKUP, hit=MEMORY_HIT_NONE)
+            return None
+        self.memory_hit = match.kind
+        if match.is_similar:
+            self.guidance = render_guidance(match.record)
+            self.log(
+                EVENT_MEMORY_LOOKUP, hit=match.kind, matched_query=match.record.query_text, score=match.score
             )
-        elif decision.kind == DECISION_SELECT_APP:
-            try:
-                selection = select_and_open_app(
-                    decision.app_query, index, device, planner, config
+            return None
+
+        # exact hit: reacquire any store apps the trace launches, then replay
+        self.log(EVENT_MEMORY_LOOKUP, hit=match.kind, matched_query=match.record.query_text)
+        # the index mirrors the installed apps; the replay aborts on an unsold one
+        for step in match.record.trace.steps:
+            action = step.action
+            if action.kind == "launch" and action.package not in self.index:
+                try:
+                    seed = self.device.install_from_store(action.package)
+                except NotInStoreError:
+                    continue
+                self.index.register(seed)
+                self.installs += 1
+                self.log(EVENT_INSTALL, package=action.package, phase="replay_prepare")
+
+        result = replay(match.record, self.device)
+        if result.completed:
+            self.log(EVENT_REPLAY, status=result.status, actions=result.actions_executed)
+            return OUTCOME_SUCCESS
+        # demote the aborted record to similar-style guidance and plan onward
+        self.guidance = render_guidance(match.record)
+        self.log(
+            EVENT_REPLAY,
+            status=result.status,
+            actions=result.actions_executed,
+            abort_index=result.abort_index,
+            reason=result.reason,
+        )
+        return None
+
+    def planning_loop(self) -> str:
+        """Plan and act until a finish, a stop or a spent budget; returns the outcome."""
+        device, config = self.device, self.config
+        while True:
+            steps_consumed = len(device.history) + self.installs * INSTALL_STEP_COST
+            if self.planner_calls >= config.max_planner_calls:
+                self.log(EVENT_BUDGET, exhausted="planner_calls")
+                return OUTCOME_BUDGET
+            if steps_consumed >= config.max_steps:
+                self.log(EVENT_BUDGET, exhausted="mobile_steps")
+                return OUTCOME_BUDGET
+
+            context = PlannerContext(
+                instruction=self.instruction,
+                screen=device.observe(),
+                history=tuple(self.history),
+                step_budget_remaining=config.max_steps - steps_consumed,
+                memory_guidance=self.guidance,
+                knowledge=self.knowledge,
+                app_candidates=self.candidates,
+                notices=tuple(self.notices),
+            )
+            decision = self.planner.plan(context)
+            self.planner_calls += 1
+            self.log(EVENT_DECISION, kind=decision.kind, detail=_decision_detail(decision))
+
+            if decision.kind == DECISION_NEED_KNOWLEDGE:
+                query = formulate_query(self.instruction, decision.entities)
+                context_out = search(self.search_backend, query)
+                self.knowledge = context_out.digest
+                self.searches += 1
+                self.log(
+                    EVENT_RETRIEVAL,
+                    stage="web",
+                    query=query.text,
+                    results=len(context_out.results),
                 )
-            except NoAppAnywhereError as exc:
-                state.notices.append(str(exc))
-                state.log(EVENT_RETRIEVAL, stage="apps", query=decision.app_query, found=False)
-                continue
-            if selection.installed_from_store:
-                state.installs += 1
-                state.log(EVENT_INSTALL, package=selection.package_id, phase="select")
-            state.candidates = selection.candidates
-            state.app_selections.append((decision.app_query, selection.package_id))
-            state.log(
-                EVENT_SELECTION,
-                query=decision.app_query,
-                package=selection.package_id,
-                from_store=selection.installed_from_store,
-            )
-            state.history.append(HistoryEntry(step=device.history[-1]))
-            state.log(EVENT_ACTION, step=device.history[-1].to_dict())
-        elif decision.kind == DECISION_ACT:
-            before = context.screen  # the device is unchanged since it was observed
-            try:
-                step = device.execute(decision.action)
-            except AppNotInstalledError as exc:
-                state.notices.append(f"launch failed: {exc} is not installed")
-                continue
-            state.log(EVENT_ACTION, step=step.to_dict())
-            after = device.observe()
-            verdict = reflector.reflect(before, decision.action, after, instruction)
-            state.reflections.append((len(device.history) - 1, verdict))
-            state.log(
-                EVENT_REFLECTION,
-                index=len(device.history) - 1,
-                ok=verdict.ok,
-                diagnosis=verdict.diagnosis,
-            )
-            state.history.append(HistoryEntry(step=step, verdict=verdict))
-            if device.stopped:
-                final = device.history[-1].action
-                return OUTCOME_SUCCESS if final.success else OUTCOME_FAILURE
-        elif decision.kind == DECISION_FINISH:
-            if not device.stopped:
-                step = device.execute(Action.stop(decision.success))
-                state.history.append(HistoryEntry(step=step))
-                state.log(EVENT_ACTION, step=step.to_dict(), synthesized=True)
-            state.log(EVENT_FINISH, success=decision.success, reason=decision.reason)
-            return OUTCOME_SUCCESS if decision.success else OUTCOME_FAILURE
-        else:  # pragma: no cover - decision kinds are closed
-            raise ValueError(f"unknown decision kind {decision.kind!r}")
+            elif decision.kind == DECISION_SELECT_APP:
+                try:
+                    selection = select_and_open_app(
+                        decision.app_query, self.index, device, self.planner, config
+                    )
+                except NoAppAnywhereError as exc:
+                    self.notices.append(str(exc))
+                    self.log(EVENT_RETRIEVAL, stage="apps", query=decision.app_query, found=False)
+                    continue
+                if selection.installed_from_store:
+                    self.installs += 1
+                    self.log(EVENT_INSTALL, package=selection.package_id, phase="select")
+                self.candidates = selection.candidates
+                self.app_selections.append((decision.app_query, selection.package_id))
+                self.log(
+                    EVENT_SELECTION,
+                    query=decision.app_query,
+                    package=selection.package_id,
+                    from_store=selection.installed_from_store,
+                )
+                self.history.append(HistoryEntry(step=device.history[-1]))
+                self.log(EVENT_ACTION, step=device.history[-1].to_dict())
+            elif decision.kind == DECISION_ACT:
+                before = context.screen  # the device is unchanged since it was observed
+                try:
+                    step = device.execute(decision.action)
+                except AppNotInstalledError as exc:
+                    self.notices.append(f"launch failed: {exc} is not installed")
+                    continue
+                self.log(EVENT_ACTION, step=step.to_dict())
+                after = device.observe()
+                verdict = self.reflector.reflect(before, decision.action, after, self.instruction)
+                self.reflections.append((len(device.history) - 1, verdict))
+                self.log(
+                    EVENT_REFLECTION,
+                    index=len(device.history) - 1,
+                    ok=verdict.ok,
+                    diagnosis=verdict.diagnosis,
+                )
+                self.history.append(HistoryEntry(step=step, verdict=verdict))
+                if device.stopped:
+                    final = device.history[-1].action
+                    return OUTCOME_SUCCESS if final.success else OUTCOME_FAILURE
+            elif decision.kind == DECISION_FINISH:
+                if not device.stopped:
+                    step = device.execute(Action.stop(decision.success))
+                    self.history.append(HistoryEntry(step=step))
+                    self.log(EVENT_ACTION, step=step.to_dict(), synthesized=True)
+                self.log(EVENT_FINISH, success=decision.success, reason=decision.reason)
+                return OUTCOME_SUCCESS if decision.success else OUTCOME_FAILURE
+            else:  # pragma: no cover - decision kinds are closed
+                raise ValueError(f"unknown decision kind {decision.kind!r}")
 
 
 def _decision_detail(decision: PlannerDecision) -> dict:

@@ -524,7 +524,4 @@ def validate_pack(path: str | Path) -> PackValidation:
                     f"repeat suite lists {task_id!r} only {count} time(s)"
                 )
 
-    if abs(pack.stats.avg_ops * pack.stats.tasks - pack.stats.total_ops) > 1e-9:
-        violations.append("stats: avg_ops * tasks != total_ops")
-
     return PackValidation(violations=violations, stats=pack.stats)

@@ -451,12 +451,13 @@ class VectorRows:
             nonzero = query.nonzero()[0].tolist()
             entries = np.concatenate([order[:0], *(order[ptr[c] : ptr[c + 1]] for c in nonzero)])
             slots, coords, values = slots[entries], coords[entries], values[entries]
-        # (bincount gives integers when it counts nothing)
-        scores = np.bincount(slots, values * query[coords], len(self._keys)).astype(np.float64, copy=False)
+        # zeros when no pair is left to count, as in a store of dense rows
+        count = len(self._keys)
+        scores = np.bincount(slots, values * query[coords], count) if len(values) else np.zeros(count)
         for first, block in self._blocks:
             scores[first : first + len(block)] += block @ query
-        if len(self._keys) > self._sealed:
-            scores[self._sealed :] += self._stage[: len(self._keys) - self._sealed] @ query
+        if count > self._sealed:
+            scores[self._sealed :] += self._stage[: count - self._sealed] @ query
         return scores
 
     def search(

@@ -6,6 +6,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pocketrag.agent import (
     INSTALL_STEP_COST,
@@ -18,7 +20,7 @@ from pocketrag.app_index import AppIndex
 from pocketrag.embedding import HashedTokenEmbedder
 from pocketrag.errors import NoAppAnywhereError, ScenarioMismatchError
 from pocketrag.planning import EffectReflector, ScriptedPlanner
-from pocketrag.simulator import Device, Scenario, UiElement
+from pocketrag.simulator import SWIPE_DIRECTIONS, Device, Scenario, UiElement
 from pocketrag.task_memory import MemoryStore
 from pocketrag.web_search import FixtureSearchBackend
 
@@ -558,3 +560,73 @@ def test_two_runs_on_one_scenario_build_its_home_grid_once(backend, monkeypatch)
         )
         assert run.outcome == "success"
     assert built == ["icon_com.clock", "icon_com.notes"]
+
+
+# the mini scenario's vocabulary: element ids (home icons included), app
+# queries that hit Clock, Notes, the store's Weather and nothing, and
+# instructions whose repeats hit memory exactly or similarly
+ELEMENT_IDS = [
+    "icon_com.clock", "icon_com.notes", "alarms_tab", "time_field", "save_alarm",
+    "new_note", "note_body", "forecast_tab", "tomorrow_row",
+]
+APP_QUERIES = ["alarm clock wake up", "write notes lists", "weather forecast rain sunny", "violin harbor pottery"]
+INSTRUCTIONS = ["Set an alarm for 8 am.", "set an alarm for 8 am", "set an alarm for 9 am", "Check the weather."]
+SMALL_BUDGET = AgentConfig(tau_local=0.3, max_steps=8, max_planner_calls=10)
+
+acts = st.one_of(
+    st.builds(lambda t: {"kind": "tap", "target": t}, st.sampled_from(ELEMENT_IDS)),
+    st.builds(
+        lambda t, x: {"kind": "type", "target": t, "text": x},
+        st.sampled_from(ELEMENT_IDS),
+        st.sampled_from(["08:00", "milk"]),
+    ),
+    st.builds(lambda d: {"kind": "swipe", "direction": d}, st.sampled_from(SWIPE_DIRECTIONS)),
+    st.just({"kind": "back"}),
+    st.builds(lambda ok: {"kind": "stop", "success": ok}, st.booleans()),
+)
+scripts = st.lists(
+    st.one_of(
+        st.builds(
+            lambda q, p: {"do": "select_app", "query": q, "pick": p},
+            st.sampled_from(APP_QUERIES),
+            st.sampled_from([None, "com.clock", "com.notes", "com.weather"]),
+        ),
+        st.builds(lambda a: {"do": "act", "action": a}, acts),
+        st.builds(lambda e: {"do": "need_knowledge", "entities": e}, st.sampled_from([["tomorrow weather"], []])),
+        st.builds(lambda ok: {"do": "finish", "success": ok}, st.booleans()),
+    ),
+    max_size=14,
+)
+
+
+def assert_counters_match_events(run):
+    events, counters = run.events, run.counters
+    kinds = [e["event"] for e in events]
+    assert counters.planner_calls == kinds.count("decision") <= SMALL_BUDGET.max_planner_calls
+    assert counters.searches == sum(e["event"] == "retrieval" and e["stage"] == "web" for e in events)
+    assert counters.installs == kinds.count("install")
+    assert run.app_selections == tuple((e["query"], e["package"]) for e in events if e["event"] == "selection")
+    assert [(i, v.ok, v.diagnosis) for i, v in run.reflections] == [
+        (e["index"], e["ok"], e["diagnosis"]) for e in events if e["event"] == "reflection"
+    ]
+    replayed = sum(e["actions"] for e in events if e["event"] == "replay")
+    assert len(run.trace) == counters.mobile_steps == kinds.count("action") + replayed
+    assert [counters.memory_hit] == [e["hit"] for e in events if e["event"] == "memory_lookup"]
+    assert kinds[-1] == "run_end"
+
+
+@given(scripts, st.sampled_from(INSTRUCTIONS), st.sampled_from(INSTRUCTIONS))
+@example(KNOWLEDGE_SCRIPT, "Check the weather.", "Check the weather.")  # a store install, then its replay
+@example(ALARM_SCRIPT, "Set an alarm for 8 am.", "set an alarm for 9 am")  # a similar hit
+def test_counters_and_selections_match_the_event_log(script, first, second):
+    # two runs on one memory, each on a fresh index, so the second replays
+    # (and reinstalls) what the first committed when their texts match
+    backend = HashedTokenEmbedder()
+    scenario, _, memory, search = build_world(backend)
+    for instruction in (first, second):
+        index = AppIndex.build(scenario.installed_apps, backend, threshold=SMALL_BUDGET.tau_local)
+        run = run_task(
+            instruction, scenario, index, memory, search,
+            ScriptedPlanner(script), EffectReflector(), SMALL_BUDGET,
+        )
+        assert_counters_match_events(run)

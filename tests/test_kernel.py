@@ -156,10 +156,12 @@ def test_vector_view_lasts_until_the_next_add_or_remove():
 @pytest.mark.parametrize(
     "remove", [[0], [N - 1], [BLOCK, BLOCK, 0], [N - 1, N - 2, BLOCK - 1]]
 )
-def test_swap_remove_moves_last_row_into_the_gap(remove):
-    # ``remove`` names rows as a swap-remove moves keys: the last key into
-    # the gap; every key left keeps its vector, search matches the oracle,
-    # and a copy taken before the removes keeps every key
+def test_removes_keep_every_other_key_and_an_earlier_copy(remove):
+    # ``remove`` names keys by their place in a list that moves its last key
+    # into each gap, so the removes reach the first and last rows and the
+    # rows either side of the first stage's end; every key left keeps its
+    # vector, search matches the oracle, and a copy taken before the
+    # removes keeps every key
     rows, mirror = rows_and_mirror()
     copied, expected = rows.copy(), dict(mirror)
     order = list(mirror)  # the key of each row
@@ -346,8 +348,9 @@ def test_vector_gives_back_every_bit(vectors, copy_at):
         embedding._BLOCK_ROWS = original
 
 
-# d = 64; rows and queries hold from one to all 64 non-zeros, so a scan of
-# a transposed block reads from one coordinate to every one
+# d = 64; rows and queries hold from one to all 64 non-zeros, so rows are
+# sealed as pairs or as dense rows, and a query reads the postings of one
+# coordinate to every one
 D = 64
 
 
@@ -410,12 +413,12 @@ NEXT_ROW = ((3, 0.4478856705735274),) + BOUNDARY_ROW[1:]
         ("add", 0, BOUNDARY_ROW),
         ("add", 1, NEXT_ROW),
         ("add", 2, ((63, 1.0),)),
-        ("add", 3, ((62, 1.0),)),  # fills the block, which transposes
+        ("add", 3, ((62, 1.0),)),  # fills the stage, which seals
         ("search", BOUNDARY_QUERY, 1),
     ]
 )
 def test_search_ranks_by_the_rounded_1d_dot(ops):
-    # blocks of 4 rows, so adds and swap-removes cross the transposition
+    # stages of 4 rows, so adds and removes cross seals and rebuilds
     original = embedding._BLOCK_ROWS
     embedding._BLOCK_ROWS = 4
     try:
