@@ -55,7 +55,7 @@ def main():
     run(device, Action.launch("com.fitpulse.health"))
 
     print(f"\nfinal flags: {device.observe().state_flags}")
-    print(f"mobile steps taken: {device.action_count}")
+    print(f"mobile steps taken: {len(device.history)}")
 
 
 if __name__ == "__main__":

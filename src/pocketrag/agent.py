@@ -24,7 +24,7 @@ store); each act is 1 planner call plus 1 mobile step, and is reflected on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
 from .app_index import AppIndex, AppMatch, RetrievalOutcome
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
     NotInStoreError,
     PocketRagError,
     ScenarioMismatchError,
+    check_types,
     malformed,
 )
 from .planning import (
@@ -88,22 +89,23 @@ class AgentConfig:
     max_planner_calls: int = 30
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau_local < 1.0:
-            raise ValueError("tau_local must be in (0, 1)")
-        if not 0.0 < self.tau_mem < 1.0:
-            raise ValueError("tau_mem must be in (0, 1)")
-        if self.k_apps < 1:
-            raise ValueError("k_apps must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.max_planner_calls < 1:
-            raise ValueError("max_planner_calls must be >= 1")
+        check_types(vars(self), _AGENT_CONFIG_TYPES)
+        for name in ("tau_local", "tau_mem"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1)")
+        for name in ("k_apps", "max_steps", "max_planner_calls"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AgentConfig":
         """Build from a config mapping; unknown keys and bad values raise PocketRagError."""
         with malformed(PocketRagError, "invalid agent config"):
             return cls(**data)
+
+
+# each field's type is its annotation
+_AGENT_CONFIG_TYPES = get_type_hints(AgentConfig)
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,10 @@ class RunCounters:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
+
+
+# each counter's type in the run log is its annotation
+_COUNTER_TYPES = get_type_hints(RunCounters)
 
 
 @dataclass(frozen=True)
@@ -146,25 +152,19 @@ class TaskRun:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TaskRun":
+        check_types(data["counters"], _COUNTER_TYPES)
+        for r in data["reflections"]:
+            check_types(r, {"index": int, "ok": bool, "diagnosis": str})
         return cls(
             task_id=data["task_id"],
             outcome=data["outcome"],
             trace=ActionTrace.from_jsonable(data["trace"]),
             app_selections=tuple((q, p) for q, p in data["app_selections"]),
             reflections=tuple(
-                (
-                    int(r["index"]),
-                    ReflectionVerdict(ok=bool(r["ok"]), diagnosis=r.get("diagnosis", "")),
-                )
+                (r["index"], ReflectionVerdict(ok=r["ok"], diagnosis=r.get("diagnosis", "")))
                 for r in data["reflections"]
             ),
-            counters=RunCounters(
-                planner_calls=int(data["counters"]["planner_calls"]),
-                mobile_steps=int(data["counters"]["mobile_steps"]),
-                searches=int(data["counters"]["searches"]),
-                installs=int(data["counters"]["installs"]),
-                memory_hit=data["counters"]["memory_hit"],
-            ),
+            counters=RunCounters(**data["counters"]),
         )
 
 

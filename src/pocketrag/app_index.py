@@ -51,6 +51,7 @@ from .errors import (
     EmptyQueryError,
     MalformedEntryError,
     QuerySourceFailureError,
+    check_types,
     malformed,
 )
 
@@ -72,12 +73,15 @@ class AppSeed:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AppSeed":
-        """Raises KeyError when a field is missing; callers guard the whole catalog."""
-        return cls(
-            app_name=str(data.get("name") or data.get("app_name") or ""),
-            package_id=str(data["package_id"]),
-            description=str(data["description"]),
-        )
+        """Raises KeyError when a field is missing and ValueError for one of the
+        wrong type (``check_types``); callers guard the whole catalog."""
+        check_types(data, _SEED_FIELD_TYPES)
+        name = data.get("name") or data.get("app_name") or ""
+        return cls(name, data["package_id"], data["description"])
+
+
+# the type of each field of a catalog entry
+_SEED_FIELD_TYPES = {"name": str, "app_name": str, "package_id": str, "description": str}
 
 
 @dataclass(frozen=True)
@@ -331,13 +335,15 @@ class AppIndex:
         where = f"index file {str(path)!r}"
         with malformed(MalformedEntryError, where):
             data, backend = read_vector_file(path, backend, "index")
+            check_types(data, {"threshold": float, "apps": list})
             index = cls(backend, data["threshold"] if threshold is None else threshold)
             apps, rows = [], []
             for position, entry in enumerate(data["apps"]):
                 with malformed(MalformedEntryError, f"{where}, app entry {position}"):
+                    check_types(entry, {**_SEED_FIELD_TYPES, "installed": bool, "source": str})
                     seed = AppSeed(entry["name"], entry["package_id"], entry["description"])
                     rows.append(EmbeddingVector(entry["embedding"]).values)
-                    installed = bool(entry.get("installed", True))
+                    installed = entry.get("installed", True)
                     default = SOURCE_PREINSTALLED if installed else SOURCE_CATALOG
                     source = entry.get("source", default)
                 apps.append(_Entry(seed, installed, source))

@@ -26,6 +26,7 @@ from .errors import (
     MalformedEntryError,
     ManifestError,
     PocketRagError,
+    check_types,
     malformed,
 )
 from .metrics import GroundTruth, MetricsReport, aggregate, compute_metrics
@@ -61,8 +62,7 @@ class BenchmarkTask:
                 raise InvalidGroundTruthError(
                     f"task {data.get('task_id')!r}: unknown tier {tier!r}"
                 )
-            if not isinstance(data["instruction"], str):
-                raise TypeError(f"instruction {data['instruction']!r} is not a string")
+            check_types(data, {"task_id": str, "instruction": str, "scenario": str})
             script = tuple(dict(s) for s in data.get("script", []))
             check_script(script)
             return cls(

@@ -29,7 +29,7 @@ from .bench import (
     write_run_log,
 )
 from .embedding import DEFAULT_BACKEND, resolve_backend, write_text_atomic
-from .errors import MalformedEntryError, PocketRagError, malformed
+from .errors import MalformedEntryError, PocketRagError, check_types, malformed
 from .planning import EffectReflector, HttpChatPlanner, ScriptedPlanner
 from .simulator import Scenario
 from .task_memory import MemoryStore
@@ -39,15 +39,11 @@ EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_ERROR = 2
 
-_CONFIG_OBJECTS = ("agent", "live_planner", "search")
-
-
 def _load_config(path: str | None) -> dict:
     """The config file: an object whose ``agent``, ``live_planner`` and ``search`` are objects."""
     with malformed(MalformedEntryError, f"config {path!r}"):
         config = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
-        if not all(isinstance(config.get(key, {}), dict) for key in _CONFIG_OBJECTS):
-            raise MalformedEntryError(f"config {path!r}: {_CONFIG_OBJECTS} must be objects")
+        check_types(config, {"agent": dict, "live_planner": dict, "search": dict})
     return config
 
 

@@ -107,9 +107,6 @@ class EmbeddingVector:
     def dimension(self) -> int:
         return int(self._values.shape[0])
 
-    def to_list(self) -> list[float]:
-        return self._values.tolist()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingVector):
             return NotImplemented

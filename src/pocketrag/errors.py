@@ -1,9 +1,14 @@
-"""Exception hierarchy shared across the package, and the malformed-input guard.
+"""Exception hierarchy shared across the package, and the malformed-input guards.
 
 ``malformed`` is the single place that decides which exceptions mean that an
 outside input (a config, catalog, index, memory, scenario, task, run-log or
-manifest file, or a planner script) has the wrong shape.
+manifest file, or a planner script) has the wrong shape. ``check_types`` is
+the single place that decides which type a loaded field may have: each loader
+checks its fields against one {field: type} table, and coerces none.
 """
+
+import math
+from typing import Mapping
 
 
 class PocketRagError(Exception):
@@ -25,6 +30,22 @@ class malformed:
     def __exit__(self, exc_type, exc, traceback) -> None:
         if isinstance(exc, (KeyError, TypeError, AttributeError, ValueError)):
             raise self.error_class(f"{self.where} is malformed: {exc!r}") from exc
+
+
+def check_types(data: Mapping, types: Mapping[str, type]) -> None:
+    """Raise ValueError for a field of ``data`` that ``types`` names and whose
+    value is not of the type it gives: null only where that type admits None
+    (``str | None``), a bool never where an int is expected, an int wherever a
+    float is, and a float only when it is finite. Fields not named pass."""
+    for name, value in data.items():
+        kind = types.get(name)
+        if kind is None or isinstance(value, kind) and kind is not int and kind is not float:
+            continue
+        # what a number field takes; ``abs`` takes a huge int, where ``math.isfinite`` overflows
+        numbers = (int, float) if kind is float else int if kind is int else ()
+        if not isinstance(value, numbers) or value.__class__ is bool or not abs(value) < math.inf:
+            what = "finite number" if kind is float else getattr(kind, "__name__", kind)
+            raise ValueError(f"{name} {value!r} is not a {what}")
 
 
 # --- embedding ---

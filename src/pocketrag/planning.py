@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
 
 from .app_index import AppMatch
-from .errors import PlannerFailureError, malformed
-from .simulator import Action, ActionStep, ScreenState, check_action_types
+from .errors import PlannerFailureError, check_types, malformed
+from .simulator import _ACTION_FIELD_TYPES, Action, ActionStep, ScreenState
 
 DECISION_NEED_KNOWLEDGE = "need_knowledge"
 DECISION_SELECT_APP = "select_app"
@@ -113,10 +113,16 @@ class Reflector(Protocol):
         ...
 
 
+# the type of each field a decision may set, in a script entry or a planner reply
+_DECISION_FIELD_TYPES = {
+    "query": str, "entities": list, "action": dict, "success": bool, "reason": str, "pick": str | None
+}
+
+
 def check_script(script: Sequence[Mapping]) -> None:
     """Raise PlannerFailureError naming the first script entry that holds a
-    value of the wrong type: a query that is not a string, entities that are
-    not a list of strings, or an action field (``check_action_types``).
+    value of the wrong type (``check_types``): a field of the entry or of its
+    action, or an entity that is not a string.
 
     Only types are checked, once, when a task loads, so that a wrong type
     fails the load rather than the step that reaches it; an entry of an
@@ -126,22 +132,15 @@ def check_script(script: Sequence[Mapping]) -> None:
     """
     with malformed(PlannerFailureError, "task script"):
         for position, entry in enumerate(script):
+            part = ""
             try:
-                _check_entry_types(entry)
+                check_types(entry, _DECISION_FIELD_TYPES)
+                if not all(isinstance(e, str) for e in entry.get("entities", ())):
+                    raise ValueError(f"entities {entry['entities']!r} are not all strings")
+                part = "action "
+                check_types(entry.get("action", {}), _ACTION_FIELD_TYPES)
             except (AttributeError, ValueError) as exc:
-                raise ValueError(f"script entry {position}: {exc}") from exc
-
-
-def _check_entry_types(entry: Mapping) -> None:
-    for name, value in entry.items():
-        if name == "query" and not isinstance(value, str):
-            raise ValueError(f"app query {value!r} is not a string")
-        if name == "entities" and not (
-            isinstance(value, list) and all(isinstance(e, str) for e in value)
-        ):
-            raise ValueError(f"entities {value!r} are not a list of strings")
-        if name == "action":
-            check_action_types(value)
+                raise ValueError(f"script entry {position}: {part}{exc}") from exc
 
 
 def decision_from_script(entry: Mapping) -> PlannerDecision:
@@ -158,9 +157,7 @@ def decision_from_script(entry: Mapping) -> PlannerDecision:
     if kind == DECISION_ACT:
         return PlannerDecision.act(Action.from_dict(entry["action"]))
     if kind == DECISION_FINISH:
-        return PlannerDecision.finish(
-            bool(entry.get("success", True)), entry.get("reason", "")
-        )
+        return PlannerDecision.finish(entry.get("success", True), entry.get("reason", ""))
     raise ValueError(f"unknown script step {kind!r}")
 
 
@@ -282,26 +279,24 @@ def render_context_blocks(context: PlannerContext) -> str:
 def parse_decision_response(text: str) -> PlannerDecision:
     """Parse one JSON decision object out of a model response."""
     data = _extract_json_object(text)
+    check_types(data, _DECISION_FIELD_TYPES)
     kind = data.get("decision")
     if kind == DECISION_NEED_KNOWLEDGE:
         entities = data.get("entities")
-        if not isinstance(entities, list) or not entities:
-            raise ValueError("need_knowledge requires a non-empty entities list")
-        return PlannerDecision.need_knowledge([str(e) for e in entities])
+        if not entities or not all(isinstance(e, str) for e in entities):
+            raise ValueError("need_knowledge requires a non-empty list of string entities")
+        return PlannerDecision.need_knowledge(entities)
     if kind == DECISION_SELECT_APP:
-        query = str(data.get("query", "")).strip()
+        query = data.get("query", "").strip()
         if not query:
             raise ValueError("select_app requires a query")
         return PlannerDecision.select_app(query)
     if kind == DECISION_ACT:
-        action_data = data.get("action")
-        if not isinstance(action_data, dict) or "kind" not in action_data:
+        if "kind" not in data.get("action", {}):
             raise ValueError("act requires an action object with a kind")
-        return PlannerDecision.act(Action.from_dict(action_data))
+        return PlannerDecision.act(Action.from_dict(data["action"]))
     if kind == DECISION_FINISH:
-        return PlannerDecision.finish(
-            bool(data.get("success", False)), str(data.get("reason", ""))
-        )
+        return PlannerDecision.finish(data.get("success", False), data.get("reason", ""))
     raise ValueError(f"unknown or missing decision kind: {kind!r}")
 
 

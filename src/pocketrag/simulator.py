@@ -19,7 +19,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, KeysView, Mapping
+from typing import Iterable, KeysView, Mapping, get_type_hints
 
 from .app_index import AppIndex, AppSeed
 from .embedding import EmbedderBackend
@@ -28,6 +28,7 @@ from .errors import (
     DeviceStoppedError,
     NotInStoreError,
     ScenarioError,
+    check_types,
     malformed,
 )
 
@@ -162,27 +163,16 @@ class Action:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Action":
         """Raises KeyError without a kind, and ValueError for a field of the
-        wrong type (``check_action_types``) or an action its kind does not allow."""
-        check_action_types(data)
+        wrong type (``check_types``) or an action its kind does not allow."""
+        check_types(data, _ACTION_FIELD_TYPES)
         if "kind" not in data:
             raise KeyError("kind")
         return cls(*map(data.get, _ACTION_FIELD_TYPES))
 
 
 # ``Action``'s fields in field order (``from_dict`` passes them by position),
-# each with the type it must have when set
-_ACTION_FIELD_TYPES = {
-    "kind": str, "target": str, "text": str, "direction": str, "package": str, "success": bool
-}
-
-
-def check_action_types(data: Mapping) -> None:
-    """Raise ValueError for a field of an action mapping that is set, not null,
-    and not of its type: a string, or a bool for ``success``."""
-    for name, value in data.items():
-        kind = _ACTION_FIELD_TYPES.get(name)
-        if kind is not None and value is not None and not isinstance(value, kind):
-            raise ValueError(f"action {name} {value!r} is not a {kind.__name__}")
+# each with its annotated type: null leaves any field but ``kind`` unset
+_ACTION_FIELD_TYPES = get_type_hints(Action)
 
 
 @dataclass(frozen=True)
@@ -502,10 +492,6 @@ class Device:
     @property
     def stopped(self) -> bool:
         return self._stopped
-
-    @property
-    def action_count(self) -> int:
-        return len(self.history)
 
     def observe(self) -> ScreenState:
         """Return the current screen by value; never changes what the device shows."""

@@ -44,6 +44,7 @@ from .errors import (
     MalformedEntryError,
     PocketRagError,
     TraceWithoutStopError,
+    check_types,
     malformed,
 )
 from .simulator import ActionTrace, Device
@@ -262,17 +263,22 @@ class MemoryStore:
             data, backend = read_vector_file(path, backend, "memory")
             if threshold is None:
                 threshold = data.get("threshold", DEFAULT_MEMORY_THRESHOLD)
+            check_types(data, {"threshold": float, "capacity": int, "records": list})
             store = cls(backend, threshold=threshold, capacity=data.get("capacity"), clock=clock)
             max_seq = -1
             for position, entry in enumerate(data.get("records", [])):
                 with malformed(MalformedEntryError, f"{where}, record {position}"):
+                    check_types(entry, _RECORD_FIELD_TYPES)
+                    key = normalize_text(entry["query"])
+                    if entry["normalized_query"] != key:
+                        raise ValueError(f"normalized_query is not {key!r}")
                     record = MemoryRecord(
                         query_text=entry["query"],
-                        normalized_query=entry["normalized_query"],
+                        normalized_query=key,
                         trace=ActionTrace.from_jsonable(entry["trace"]),
-                        created_at=float(entry["created_at"]),
-                        success_count=int(entry["success_count"]),
-                        seq=int(entry.get("seq", 0)),
+                        created_at=entry["created_at"],
+                        success_count=entry["success_count"],
+                        seq=entry.get("seq", 0),
                     )
                     vector = EmbeddingVector(entry["embedding"])
                 _check_trace(record.trace, f"{where}, record {position}: ")
@@ -281,6 +287,11 @@ class MemoryStore:
                 max_seq = max(max_seq, record.seq)
         store._next_seq = max_seq + 1
         return store
+
+
+# the type of each scalar field of a memory-file record; ``load`` derives its
+# ``normalized_query`` from its ``query`` and refuses any other
+_RECORD_FIELD_TYPES = {"query": str, "created_at": float, "success_count": int, "seq": int}
 
 
 def _check_trace(trace: ActionTrace, lead: str = "") -> None:

@@ -68,10 +68,10 @@ def oracle_top_k(index: AppIndex, query: str, k: int) -> list[tuple[str, float]]
     decimals, ties broken by ascending package id.
     """
     backend = index.backend
-    qvec = embed(backend, query).to_list()
+    qvec = embed(backend, query).values.tolist()
     scored = []
     for record in index.records():
-        score = sum(x * y for x, y in zip(record.embedding.to_list(), qvec))
+        score = sum(x * y for x, y in zip(record.embedding.values.tolist(), qvec))
         scored.append((record.package_id, score))
     scored.sort(key=lambda item: (-round(item[1], 9), item[0]))
     return scored[:k]

@@ -24,6 +24,7 @@ from pocketrag.bench import (
 from pocketrag.errors import (
     DanglingScenarioRefError,
     InvalidGroundTruthError,
+    MalformedEntryError,
     ManifestError,
 )
 from pocketrag.metrics import compute_metrics
@@ -308,6 +309,14 @@ def test_report_files_and_log_round_trip(tmp_path):
     assert recomputed.rp_pct == original.rp_pct
     assert recomputed.tcr_pct == original.tcr_pct
     assert recomputed.tsr_pct == original.tsr_pct
+
+    # a counter of another type is refused, not cast
+    *events, last = log_files[0].read_text().splitlines()
+    run = json.loads(last)
+    run["run"]["counters"]["mobile_steps"] = "3"
+    log_files[0].write_text("\n".join([*events, json.dumps(run)]) + "\n")
+    with pytest.raises(MalformedEntryError, match="mobile_steps '3'"):
+        read_run_log(log_files[0])
 
 
 # sha256 over report.json, report.txt and every run log of a desk run, taken

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pocketrag.app_index import AppIndex
-from pocketrag.bench import BenchmarkTask
+from pocketrag.bench import BenchmarkTask, load_pack
 from pocketrag.cli import main
 from pocketrag.errors import (
     DimensionMismatchError,
     EmptyTraceError,
     MalformedEntryError,
     PlannerFailureError,
+    PocketRagError,
     ScenarioError,
     TraceWithoutStopError,
 )
@@ -247,8 +248,9 @@ def test_config_typo_exits_2(tmp_path, scenario_file, task_file, capsys):
 
 @pytest.mark.parametrize(
     "agent_config",
-    [{"tau_mem": 1.5}, {"tau_local": "0.4"}, {"k_apps": None}],
-    ids=["out-of-range", "string", "null"],
+    [{"tau_mem": 1.5}, {"tau_local": "0.4"}, {"k_apps": None}, {"k_apps": 2.5},
+     {"max_steps": 2.5}, {"k_apps": True}],
+    ids=["out-of-range", "string", "null", "float-k-apps", "float-max-steps", "bool-k-apps"],
 )
 def test_config_bad_value_exits_2(tmp_path, scenario_file, task_file, capsys, agent_config):
     config = tmp_path / "config.json"
@@ -258,7 +260,9 @@ def test_config_bad_value_exits_2(tmp_path, scenario_file, task_file, capsys, ag
         "--task", str(task_file),
     ])
     assert code == 2
-    assert "invalid agent config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid agent config" in err
+    assert "Traceback" not in err
 
 
 def _raise_first_value(data):
@@ -277,10 +281,15 @@ def _blank_first_package_id(data):
     data["apps"][0]["package_id"] = ""
 
 
+def _installed_as_a_string(data):
+    data["apps"][0]["installed"] = "false"
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_raise_first_value, _drop_first_embedding, _set_dimension_12, _blank_first_package_id],
-    ids=["not-unit-norm", "no-embedding", "dimension-12", "empty-package-id"],
+    [_raise_first_value, _drop_first_embedding, _set_dimension_12, _blank_first_package_id,
+     _installed_as_a_string],
+    ids=["not-unit-norm", "no-embedding", "dimension-12", "empty-package-id", "installed-string"],
 )
 def test_index_query_on_malformed_index_file_exits_2(tmp_path, catalog_file, capsys, tamper):
     index_path = tmp_path / "idx.json"
@@ -298,8 +307,10 @@ def test_index_query_on_malformed_index_file_exits_2(tmp_path, catalog_file, cap
     [
         ({"name": "Blank", "package_id": "", "description": "blank package id"}, "'Blank'"),
         ({"name": "Mute", "package_id": "com.mute"}, "'com.mute'"),
+        ({"name": "Null", "package_id": "com.null", "description": None}, "'com.null'"),
+        ({"name": "Five", "package_id": 5, "description": "a numeric id"}, "'Five'"),
     ],
-    ids=["empty-package-id", "no-description"],
+    ids=["empty-package-id", "no-description", "null-description", "int-package-id"],
 )
 def test_index_build_on_malformed_catalog_exits_2(tmp_path, capsys, entry, named):
     catalog_path = tmp_path / "apps.json"
@@ -432,21 +443,47 @@ def test_memory_ls_on_malformed_flag_changes_exits_2(tmp_path, scenario_file, ta
     assert "record 0" in capsys.readouterr().err
 
 
-def _empty_trace(record):
-    record["trace"] = []
+def _empty_trace(data):
+    data["records"][0]["trace"] = []
 
 
-def _drop_stop(record):
-    record["trace"] = record["trace"][:-1]
+def _drop_stop(data):
+    data["records"][0]["trace"] = data["records"][0]["trace"][:-1]
 
 
+def _fractional_success_count(data):
+    data["records"][0]["success_count"] = 2.9
+
+
+def _bool_created_at(data):
+    data["records"][0]["created_at"] = True
+
+
+def _fractional_capacity(data):
+    data["capacity"] = 2.5
+
+
+def _other_normalized_query(data):
+    data["records"][0]["normalized_query"] = "another task"
+
+
+# what a commit would refuse, or a field of the wrong type or value, each
+# with the error it raises and the part of the file the error names
 @pytest.mark.parametrize(
-    "tamper, error",
-    [(_empty_trace, EmptyTraceError), (_drop_stop, TraceWithoutStopError)],
-    ids=["empty", "no-stop"],
+    "tamper, error, named",
+    [
+        (_empty_trace, EmptyTraceError, "record 0"),
+        (_drop_stop, TraceWithoutStopError, "record 0"),
+        (_fractional_success_count, MalformedEntryError, "record 0"),
+        (_bool_created_at, MalformedEntryError, "record 0"),
+        (_fractional_capacity, MalformedEntryError, "capacity"),
+        (_other_normalized_query, MalformedEntryError, "record 0"),
+    ],
+    ids=["empty", "no-stop", "float-success-count", "bool-created-at", "float-capacity",
+         "other-normalized-query"],
 )
-def test_memory_file_with_a_trace_commit_refuses_exits_2(
-    tmp_path, scenario_file, task_file, capsys, tamper, error
+def test_memory_file_a_load_refuses_exits_2(
+    tmp_path, scenario_file, task_file, capsys, tamper, error, named
 ):
     memory_path = tmp_path / "memory.json"
     run = ["run", "--scenario", str(scenario_file), "--task", str(task_file),
@@ -454,15 +491,15 @@ def test_memory_file_with_a_trace_commit_refuses_exits_2(
     assert main(run) == 0
     data = json.loads(memory_path.read_text())
     assert len(data["records"][0]["trace"]) > 1
-    tamper(data["records"][0])
+    tamper(data)
     memory_path.write_text(json.dumps(data))
     capsys.readouterr()
-    with pytest.raises(error, match="record 0"):
+    with pytest.raises(error, match=named):
         MemoryStore.load(memory_path)
     assert main(["memory", "ls", "--store", str(memory_path)]) == 2
-    assert "record 0" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert main(run) == 2  # refused before the stored trace is replayed
-    assert "record 0" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def _drop_scenario_id(data):
@@ -671,6 +708,20 @@ def test_no_manifest_crashes_pack_validate_or_bench(cli_world, key, value):
         path.write_text(original)
 
 
+@pytest.mark.parametrize("command", ["pack validate", "bench"])
+def test_a_manifest_agent_config_of_the_wrong_type_exits_2_at_load(tmp_path, capsys, command):
+    def mutate(bundle):
+        bundle["manifest"]["agent_config"]["k_apps"] = 2.5
+
+    pack = write_mini_pack(tmp_path, mutate)
+    with pytest.raises(PocketRagError, match="k_apps 2.5"):
+        load_pack(pack)
+    assert main(command.split() + ["--pack", str(pack)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    lead = "error: " if command == "bench" else "violation: pack failed to load"
+    assert line.startswith(lead) and "k_apps 2.5" in line
+
+
 def nested_paths(value, path=()):
     """The path of every value nested inside ``value`` (not ``value`` itself)."""
     children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
@@ -687,18 +738,21 @@ def replaced(value, path, new):
     return copy
 
 
-NESTED_FILES = {"scenario": mini_scenario_dict(), "task": TASK}
+# the commands whose input file has one nested value changed at a time
+NESTED_FILES = ("config", "index", "memory", "scenario", "task")
 
 
-@pytest.mark.parametrize("command", sorted(NESTED_FILES))
+@pytest.mark.parametrize("command", NESTED_FILES)
 @settings(max_examples=60)
 @given(data=st.data(), value=json_values())
 def test_no_nested_value_crashes_the_cli(cli_world, command, data, value):
-    valid = NESTED_FILES[command]
-    path = data.draw(st.sampled_from(sorted(nested_paths(valid), key=repr)))
     argument, template = FILE_COMMANDS[command]
     file = cli_world[argument]
     original = file.read_bytes()
+    valid = json.loads(original)
+    # the coordinates of a vector are left out: they would crowd out every other field
+    paths = [path for path in nested_paths(valid) if "embedding" not in path[:-1]]
+    path = data.draw(st.sampled_from(sorted(paths, key=repr)))
     file.write_text(json.dumps(replaced(valid, path, value)))
     try:
         assert main(_argv(template, cli_world)) in (0, 1, 2)

@@ -1,4 +1,4 @@
-"""Index and memory files: stable bytes, atomic saves, threshold overrides."""
+"""Index and memory files: stable bytes, typed loads, atomic saves, threshold overrides."""
 
 from __future__ import annotations
 
@@ -11,14 +11,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import pocketrag
 from pocketrag.app_index import AppIndex, AppSeed
 from pocketrag import embedding
 from pocketrag.bench import run_benchmark
 from pocketrag.embedding import HashedTokenEmbedder, embed_row
+from pocketrag.errors import PocketRagError
 from pocketrag.task_memory import MemoryStore
 
-from conftest import PACK_DIR
+from conftest import PACK_DIR, json_values
 from test_app_index import VOCAB
 from test_task_memory import make_trace
 
@@ -133,6 +138,45 @@ def test_negative_zero_coordinates_save_back_byte_for_byte(tmp_path):
         assert "-0.0" in (tmp_path / "a.json").read_text()
         type(store).load(tmp_path / "a.json").save(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved_stores(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("stores")
+    evicting_memory().save(root / "memory.json")
+    registered_index().save(root / "index.json")
+    return root
+
+
+# each store file's loader and the key that lists its entries
+STORE_FILES = {"memory": (MemoryStore, "records"), "index": (AppIndex, "apps")}
+
+
+def json_type(value) -> type | str:
+    return "number" if type(value) in (int, float) else type(value)
+
+
+@pytest.mark.parametrize("kind", sorted(STORE_FILES))
+@settings(max_examples=80)
+@given(data=st.data(), value=json_values())
+def test_a_field_of_another_type_loads_equal_or_raises(saved_stores, kind, data, value):
+    """A saved file with one field, of the file or of an entry, replaced by a
+    value of another JSON type loads to an equal store or raises a
+    PocketRagError; it never loads to a silently different one."""
+    loader, entries = STORE_FILES[kind]
+    saved = json.loads((saved_stores / f"{kind}.json").read_text())
+    fields = [(saved, key) for key in saved]
+    fields += [(entry, key) for entry in saved[entries] for key in entry]
+    owner, key = data.draw(st.sampled_from(fields))
+    assume(json_type(value) != json_type(owner[key]))
+    owner[key] = value
+    path = saved_stores / f"changed-{kind}.json"
+    path.write_text(json.dumps(saved))
+    try:
+        loaded = loader.load(path)
+    except PocketRagError:
+        return
+    assert loaded.to_dict() == loader.load(saved_stores / f"{kind}.json").to_dict()
 
 
 def test_load_threshold_override(tmp_path):

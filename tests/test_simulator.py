@@ -48,7 +48,7 @@ def test_observe_is_pure(mini_scenario):
     first = device.observe()
     second = device.observe()
     assert first == second
-    assert device.action_count == 0
+    assert len(device.history) == 0
 
 
 def test_launch_enters_entry_screen(mini_scenario):
@@ -58,14 +58,14 @@ def test_launch_enters_entry_screen(mini_scenario):
     assert state.foreground_package == "com.clock"
     assert state.screen_id == "clock_home"
     assert step.effect == "transitioned"
-    assert device.action_count == 1
+    assert len(device.history) == 1
 
 
 def test_launch_not_installed_raises(mini_scenario):
     device = Device(mini_scenario)
     with pytest.raises(AppNotInstalledError):
         device.execute(Action.launch("com.weather"))
-    assert device.action_count == 0  # failed launches are not steps
+    assert len(device.history) == 0  # failed launches are not steps
 
 
 def test_tap_with_transition(mini_scenario):
@@ -184,7 +184,7 @@ def test_alarm_scripted_sequence_sets_flag(mini_scenario):
     ]:
         device.execute(action)
     assert device.observe().state_flags["alarm_set"] == "08:00"
-    assert device.action_count == 5
+    assert len(device.history) == 5
 
 
 def test_determinism_across_devices(mini_scenario):
