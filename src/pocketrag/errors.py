@@ -2,9 +2,13 @@
 
 ``malformed`` is the single place that decides which exceptions mean that an
 outside input (a config, catalog, index, memory, scenario, task, run-log or
-manifest file, or a planner script) has the wrong shape. ``check_types`` is
-the single place that decides which type a loaded field may have: each loader
-checks its fields against one {field: type} table, and coerces none.
+manifest file, a planner script or reply, or a search response) has the wrong
+shape. ``check_types`` is the single place that decides which type a loaded
+field may have: each loader checks its fields against one {field: type} table,
+and coerces none. That covers a scenario's header, ``initial``, screen
+elements and search hits, and a task's ground truth, action patterns and
+sub-goals; a scenario's graphs, transitions and flag values are checked by
+the scenario's own validation, which walks them anyway.
 """
 
 import math

@@ -19,11 +19,11 @@ report, so every percentage is recomputable from serialized runs alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 from .agent import OUTCOME_SUCCESS, TaskRun
-from .errors import InvalidGroundTruthError, MisalignmentError
-from .simulator import EFFECT_NO_OP, HOME_SCREEN, ActionStep
+from .errors import InvalidGroundTruthError, MisalignmentError, check_types
+from .simulator import ACTION_KINDS, EFFECT_NO_OP, HOME_SCREEN, ActionStep
 
 WILDCARD = "*"
 
@@ -40,27 +40,20 @@ class ActionPattern:
     kind: str
     target: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ACTION_KINDS:
+            raise InvalidGroundTruthError(f"unknown action pattern kind {self.kind!r}")
+
     def matches(self, step: ActionStep) -> bool:
         if step.action.kind != self.kind:
             return False
-        if self.target == WILDCARD:
-            return True
-        return self.target == _action_key(step)
+        return self.target == WILDCARD or self.target == step.action.key
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ActionPattern":
-        return cls(kind=data["kind"], target=data.get("target"))
-
-
-def _action_key(step: ActionStep) -> str | None:
-    action = step.action
-    if action.kind in ("tap", "type"):
-        return action.target
-    if action.kind == "swipe":
-        return action.direction
-    if action.kind == "launch":
-        return action.package
-    return None
+        """Raises KeyError without a kind and ValueError for a field of the wrong type."""
+        check_types(data, _PATTERN_FIELD_TYPES)
+        return cls(data["kind"], data.get("target"))
 
 
 @dataclass(frozen=True)
@@ -102,13 +95,9 @@ class SubGoal:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SubGoal":
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            flag=data.get("flag"),
-            equals=data.get("equals"),
-            screen=data.get("screen"),
-        )
+        """Raises KeyError without a name or kind and ValueError for a field of the wrong type."""
+        check_types(data, _SUBGOAL_FIELD_TYPES)
+        return cls(data["name"], data["kind"], *map(data.get, ("flag", "equals", "screen")))
 
 
 @dataclass(frozen=True)
@@ -125,13 +114,22 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GroundTruth":
+        """Raises ValueError for a field, or an expected app, of the wrong type."""
+        check_types(data, {"expected_apps": list, "expected_actions": list, "sub_goals": list})
+        apps = tuple(data.get("expected_apps", []))
+        if not all(isinstance(app, str) for app in apps):
+            raise ValueError(f"expected_apps {list(apps)!r} are not all strings")
         return cls(
-            expected_apps=tuple(data.get("expected_apps", [])),
-            expected_actions=tuple(
-                ActionPattern.from_dict(p) for p in data.get("expected_actions", [])
-            ),
-            sub_goals=tuple(SubGoal.from_dict(g) for g in data.get("sub_goals", [])),
+            expected_apps=apps,
+            expected_actions=tuple(map(ActionPattern.from_dict, data.get("expected_actions", []))),
+            sub_goals=tuple(map(SubGoal.from_dict, data.get("sub_goals", []))),
         )
+
+
+# the annotated type of each field of a pattern and of a sub-goal; null leaves
+# an optional field unset
+_PATTERN_FIELD_TYPES = get_type_hints(ActionPattern)
+_SUBGOAL_FIELD_TYPES = get_type_hints(SubGoal)
 
 
 def lcs_matches(steps: Sequence[ActionStep], patterns: Sequence[ActionPattern]) -> int:

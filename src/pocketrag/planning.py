@@ -393,7 +393,9 @@ class HttpChatPlanner:
         user = f"Request: {app_query}\n\nCandidates:\n" + "\n".join(lines)
 
         def parse_pick(text: str) -> str:
-            pick = str(_extract_json_object(text).get("pick", ""))
+            data = _extract_json_object(text)
+            check_types(data, _DECISION_FIELD_TYPES)
+            pick = data.get("pick")
             if pick not in {c.package_id for c in candidates}:
                 raise ValueError(f"pick {pick!r} is not among the candidates")
             return pick

@@ -31,6 +31,7 @@ from .errors import (
     check_types,
     malformed,
 )
+from .web_search import check_hits
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +64,7 @@ class UiElement:
         if self.role not in ELEMENT_ROLES:
             raise ScenarioError(f"unknown element role {self.role!r}")
         x, y, w, h = self.bounds
-        if x < 0 or y < 0 or w <= 0 or h <= 0:
+        if not type(x) is type(y) is type(w) is type(h) is int or x < 0 or y < 0 or w <= 0 or h <= 0:
             raise ScenarioError(
                 f"element {self.element_id!r} has invalid bounds {self.bounds}"
             )
@@ -137,18 +138,24 @@ class Action:
     def launch(package: str) -> "Action":
         return Action(kind="launch", package=package)
 
+    @property
+    def key(self) -> str | None:
+        """What the action acts on: a tap's or type's target, a swipe's
+        direction, a launch's package, and nothing for back or stop."""
+        kind = self.kind
+        if kind == "tap" or kind == "type":
+            return self.target
+        if kind == "swipe":
+            return self.direction
+        return self.package if kind == "launch" else None
+
     def describe(self) -> str:
-        if self.kind == "tap":
-            return f"tap {self.target}"
-        if self.kind == "type":
-            return f"type {self.target}: {self.text}"
-        if self.kind == "swipe":
-            return f"swipe {self.direction}"
-        if self.kind == "launch":
-            return f"launch {self.package}"
         if self.kind == "stop":
             return f"stop ({'success' if self.success else 'failure'})"
-        return self.kind
+        key = self.key
+        if self.kind == "type":
+            return f"type {key}: {self.text}"
+        return self.kind if key is None else f"{self.kind} {key}"
 
     def to_dict(self) -> dict:
         """The fields that are set, in field order. Read by ``getattr``, not
@@ -393,28 +400,20 @@ class Scenario:
     def from_dict(cls, data: Mapping, base_dir: str | Path | None = None) -> "Scenario":
         """Raises ScenarioError when a field is missing or has the wrong type."""
         with malformed(ScenarioError, "scenario"):
+            check_types(data, _SCENARIO_FIELD_TYPES)
             graphs = {}
             for pid, graph_data in data.get("app_graphs", {}).items():
                 screens = {}
                 for screen_id, screen_data in graph_data["screens"].items():
-                    elements = tuple(
-                        UiElement(
-                            element_id=e["element_id"],
-                            role=e["role"],
-                            text=e.get("text", ""),
-                            bounds=tuple(e.get("bounds", (0, 0, 100, 100))),
-                        )
-                        for e in screen_data.get("elements", [])
-                    )
+                    elements = screen_data.get("elements", [])
+                    if type(elements) is not list:
+                        raise TypeError(f"{pid}/{screen_id}: elements {elements!r} are not an array")
                     transitions = {
-                        key: Transition(
-                            next_screen=t.get("next"),
-                            flags=tuple(sorted(t.get("flags", {}).items())),
-                        )
+                        key: Transition(t.get("next"), tuple(sorted(t.get("flags", {}).items())))
                         for key, t in screen_data.get("transitions", {}).items()
                     }
-                    screens[screen_id] = ScreenDef(elements=elements, transitions=transitions)
-                graphs[pid] = AppGraph(entry=graph_data["entry"], screens=screens)
+                    screens[screen_id] = ScreenDef(tuple(map(_element, elements)), transitions)
+                graphs[pid] = AppGraph(graph_data["entry"], screens)
 
             fixtures = data.get("search_fixtures", {})
             if isinstance(fixtures, str):
@@ -426,13 +425,14 @@ class Scenario:
                 fixtures = json.loads(fixture_path.read_text(encoding="utf-8"))
 
             initial = data.get("initial", {})
+            check_types(initial, {"foreground": str, "flags": dict})
             scenario = cls(
                 scenario_id=data["scenario_id"],
                 installed_apps=[AppSeed.from_dict(s) for s in data.get("installed_apps", [])],
                 store_catalog=[AppSeed.from_dict(s) for s in data.get("store_catalog", [])],
                 app_graphs=graphs,
                 initial_flags=dict(initial.get("flags", {})),
-                search_fixtures={key: _hits(hits) for key, hits in fixtures.items()},
+                search_fixtures={key: check_hits(hits) for key, hits in fixtures.items()},
             )
             fg = initial.get("foreground", HOME_PACKAGE)
             if fg != HOME_PACKAGE:
@@ -447,13 +447,19 @@ class Scenario:
         return cls.from_dict(data, base_dir=path.parent)
 
 
-def _hits(hits: Iterable) -> list[dict]:
-    """One fixture's search hits, raising TypeError unless each is an object."""
-    hits = list(hits)
-    for hit in hits:
-        if not isinstance(hit, Mapping):
-            raise TypeError(f"search fixture hit {hit!r} is not an object")
-    return hits
+# the type of each scenario field and of each screen element field
+_SCENARIO_FIELD_TYPES = {
+    "scenario_id": str, "installed_apps": list, "store_catalog": list, "app_graphs": dict,
+    "initial": dict, "search_fixtures": str | dict,
+}
+_ELEMENT_FIELD_TYPES = {"element_id": str, "role": str, "text": str, "bounds": list}
+
+
+def _element(data: Mapping) -> UiElement:
+    """One screen element; raises ValueError for a field of the wrong type."""
+    check_types(data, _ELEMENT_FIELD_TYPES)
+    bounds = tuple(data.get("bounds", (0, 0, 100, 100)))
+    return UiElement(data["element_id"], data["role"], data.get("text", ""), bounds)
 
 
 class Device:
@@ -546,7 +552,8 @@ class Device:
         elif action.kind == "back":
             self._apply_back()
         elif action.kind == "tap" and self._foreground == HOME_PACKAGE:
-            self._apply_home_tap(action)
+            if self.has_element(action.target):
+                self._open(action.target[len(ICON_PREFIX) :])
         elif action.kind in ("tap", "type", "swipe") and self._foreground != HOME_PACKAGE:
             flag_changes = self._apply_graph_action(action)
         # any other combination (e.g. type/swipe on home) falls through as a no-op
@@ -582,14 +589,6 @@ class Device:
         self._screen_id = HOME_SCREEN
         self._stack = []
 
-    def _apply_home_tap(self, action: Action) -> None:
-        target = action.target or ""
-        if not target.startswith(ICON_PREFIX):
-            return
-        package = target[len(ICON_PREFIX) :]
-        if package in self._installed:
-            self._open(package)
-
     def _open(self, package: str) -> None:
         entry = self.scenario.app_graphs[package].entry
         self._foreground = package
@@ -598,13 +597,9 @@ class Device:
 
     def _apply_graph_action(self, action: Action) -> dict[str, str]:
         screen = self._screen()
-        if action.kind == "swipe":
-            key = f"swipe:{action.direction}"
-        else:
-            if action.target not in screen.element_ids:
-                return {}
-            key = f"{action.kind}:{action.target}"
-        transition = screen.transitions.get(key)
+        if action.kind != "swipe" and action.target not in screen.element_ids:
+            return {}
+        transition = screen.transitions.get(f"{action.kind}:{action.key}")
         if transition is None:
             return {}
         typed = action.text or ""

@@ -13,10 +13,25 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from .embedding import normalize_text, tokenize
-from .errors import BackendUnavailableError
+from .errors import BackendUnavailableError, check_types, malformed
 
 DEFAULT_RESULT_CAP = 10
 DEFAULT_SUMMARY_LIMIT = 400
+
+# the type of each field of a raw hit, from a scenario's fixtures or an HTTP response
+HIT_FIELD_TYPES = {"title": str, "summary": str, "url": str}
+
+
+def check_hits(hits: list) -> list[Mapping[str, str]]:
+    """A copy of ``hits``; raises TypeError unless it is an array of objects,
+    and ValueError for a hit field of the wrong type (``HIT_FIELD_TYPES``)."""
+    if not isinstance(hits, list):
+        raise TypeError(f"search hits {hits!r} are not an array")
+    for hit in hits:
+        if not isinstance(hit, Mapping):
+            raise TypeError(f"search hit {hit!r} is not an object")
+        check_types(hit, HIT_FIELD_TYPES)
+    return list(hits)
 
 
 @dataclass(frozen=True)
@@ -51,7 +66,8 @@ class KnowledgeContext:
 
 @runtime_checkable
 class SearchBackend(Protocol):
-    """Returns raw hits as dicts with ``title``, ``summary`` and ``url``."""
+    """Returns raw hits as dicts with ``title``, ``summary`` and ``url``, each
+    a string where it is set (``HIT_FIELD_TYPES``)."""
 
     name: str
 
@@ -106,18 +122,12 @@ def search(
     results: list[SearchResult] = []
     seen_urls: set[str] = set()
     for hit in raw_hits:
-        url = str(hit.get("url", "")).strip()
+        url = hit.get("url", "").strip()
         if not url or url in seen_urls:
             continue
         seen_urls.add(url)
-        results.append(
-            SearchResult(
-                rank=len(results) + 1,
-                title=str(hit.get("title", "")).strip(),
-                summary=_truncate_summary(str(hit.get("summary", "")).strip()),
-                url=url,
-            )
-        )
+        title, summary = hit.get("title", "").strip(), hit.get("summary", "").strip()
+        results.append(SearchResult(len(results) + 1, title, _truncate_summary(summary), url))
         if len(results) >= k:
             break
     bounded = tuple(results)
@@ -161,7 +171,10 @@ class HttpSearchBackend:
 
     Configured with an endpoint URL, the name of the environment variable
     holding the API key, and a timeout in milliseconds. Expects a JSON
-    response shaped ``{"results": [{"title", "summary", "url"}, ...]}``.
+    response shaped ``{"results": [{"title", "summary", "url"}, ...]}``
+    (``snippet`` and ``link`` stand in for a missing summary and url); any
+    other shape, or a field that is not a string, raises
+    BackendUnavailableError.
     """
 
     name = "http"
@@ -201,12 +214,13 @@ class HttpSearchBackend:
             raise
         except Exception as exc:
             raise BackendUnavailableError(f"search request failed: {exc}") from exc
-        hits = payload.get("results", [])
-        return [
-            {
-                "title": str(hit.get("title", "")),
-                "summary": str(hit.get("summary", hit.get("snippet", ""))),
-                "url": str(hit.get("url", hit.get("link", ""))),
-            }
-            for hit in hits
-        ]
+        with malformed(BackendUnavailableError, "search response"):
+            hits = [
+                {
+                    "title": hit.get("title", ""),
+                    "summary": hit.get("summary", hit.get("snippet", "")),
+                    "url": hit.get("url", hit.get("link", "")),
+                }
+                for hit in payload.get("results", [])
+            ]
+            return check_hits(hits)

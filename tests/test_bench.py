@@ -358,6 +358,35 @@ def test_desk_outputs_do_not_depend_on_the_catalog_cache(tmp_path, monkeypatch, 
     assert outputs[0] == outputs[1]
 
 
+# each event kind's payload keys, one set per variant, as README's run-log
+# bullet documents them
+EVENT_PAYLOADS = {
+    "memory_lookup": [{"hit"}, {"hit", "matched_query"}, {"hit", "matched_query", "score"}],
+    "install": [{"package", "phase"}],
+    "replay": [{"status", "actions"}, {"status", "actions", "abort_index", "reason"}],
+    "decision": [{"kind", "detail"}],
+    "retrieval": [{"stage", "query", "results"}, {"stage", "query", "found"}],
+    "selection": [{"query", "package", "from_store"}],
+    "action": [{"step"}, {"step", "synthesized"}],
+    "reflection": [{"index", "ok", "diagnosis"}],
+    "finish": [{"success", "reason"}],
+    "budget": [{"exhausted"}],
+    "memory_commit": [{"query", "trace_length"}, {"query", "skipped"}],
+    "run_end": [{"outcome", "counters"}],
+    "run": [{"run"}],
+}
+
+
+@pytest.mark.parametrize("suite,memory", sorted(DESK_OUTPUT_SHA256))
+def test_every_desk_event_carries_the_documented_keys(tmp_path, suite, memory):
+    run_benchmark(PACK_DIR, memory_enabled=memory, suite=suite, out_dir=tmp_path)
+    for path in sorted((tmp_path / "runs").glob("*.jsonl")):
+        for line in path.read_text().splitlines():
+            payload = json.loads(line)
+            kind = payload.pop("event")
+            assert set(payload) in EVENT_PAYLOADS[kind], (path.name, kind, sorted(payload))
+
+
 def test_desk_pack_regenerates_byte_for_byte(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("make_desk_pack", "tools/make_desk_pack.py")
     generator = importlib.util.module_from_spec(spec)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -510,18 +511,55 @@ def _drop_first_screens(data):
     del data["app_graphs"]["com.clock"]["screens"]
 
 
+def _first_element(data) -> dict:
+    return data["app_graphs"]["com.clock"]["screens"]["clock_home"]["elements"][0]
+
+
+def _int_scenario_id(data):
+    data["scenario_id"] = 5
+
+
+def _int_element_id(data):
+    _first_element(data)["element_id"] = 5
+
+
+def _list_element_text(data):
+    _first_element(data)["text"] = ["x"]
+
+
+def _bool_and_float_bounds(data):
+    _first_element(data)["bounds"] = [True, 0.5, 100, 100]
+
+
+def _typed_fixture_hit(data):
+    data["search_fixtures"]["weather tomorrow"] = [{"title": 7, "summary": ["a"], "url": 5}]
+
+
+# each tamper with what the one error line must name
 @pytest.mark.parametrize(
-    "tamper", [_drop_scenario_id, _drop_first_screens], ids=["no-scenario-id", "no-screens"]
+    "tamper, named",
+    [
+        (_drop_scenario_id, "scenario is malformed"),
+        (_drop_first_screens, "scenario is malformed"),
+        (_int_scenario_id, "scenario_id 5 is not a str"),
+        (_int_element_id, "element_id 5 is not a str"),
+        (_list_element_text, "text ['x'] is not a str"),
+        (_bool_and_float_bounds, "invalid bounds (True, 0.5, 100, 100)"),
+        (_typed_fixture_hit, "title 7 is not a str"),
+    ],
+    ids=["no-scenario-id", "no-screens", "int-scenario-id", "int-element-id", "list-element-text",
+         "bool-and-float-bounds", "typed-fixture-hit"],
 )
-def test_run_on_malformed_scenario_exits_2(tmp_path, task_file, capsys, tamper):
+def test_run_on_malformed_scenario_exits_2(tmp_path, task_file, capsys, tamper, named):
     data = mini_scenario_dict()
     tamper(data)
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(data))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=re.escape(named)):
         Scenario.from_file(scenario_path)
     assert main(["run", "--scenario", str(scenario_path), "--task", str(task_file)]) == 2
-    assert "scenario is malformed" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and named in line
 
 
 def test_run_on_task_without_tier_exits_2(tmp_path, scenario_file, task_file, capsys):
@@ -720,6 +758,35 @@ def test_a_manifest_agent_config_of_the_wrong_type_exits_2_at_load(tmp_path, cap
     (line,) = capsys.readouterr().err.splitlines()
     lead = "error: " if command == "bench" else "violation: pack failed to load"
     assert line.startswith(lead) and "k_apps 2.5" in line
+
+
+# one mistyped field of the desk's t01_alarm_set ground truth, with what the
+# error must name
+DESK_GROUND_TRUTH_DAMAGE = {
+    "int-equals": (lambda truth: truth["sub_goals"][0].update(equals=8), "equals 8"),
+    "unknown-kind": (lambda truth: truth["expected_actions"][1].update(kind="tapp"), "'tapp'"),
+    "int-target": (lambda truth: truth["expected_actions"][1].update(target=5), "target 5"),
+    "string-apps": (lambda truth: truth.update(expected_apps="com.x"), "expected_apps 'com.x'"),
+    "int-name": (lambda truth: truth["sub_goals"][0].update(name=3), "name 3"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DESK_GROUND_TRUTH_DAMAGE))
+@pytest.mark.parametrize("command", ["pack validate", "bench"])
+def test_a_mistyped_desk_ground_truth_exits_2_at_load(tmp_path, capsys, command, damage):
+    pack = tmp_path / "desk"
+    shutil.copytree(PACK_DIR, pack)
+    path = pack / "tasks" / "t01_alarm_set.json"
+    task = json.loads(path.read_text())
+    change, named = DESK_GROUND_TRUTH_DAMAGE[damage]
+    change(task["ground_truth"])
+    path.write_text(json.dumps(task))
+    with pytest.raises(PocketRagError, match=re.escape(named)):
+        load_pack(pack)
+    assert main(command.split() + ["--pack", str(pack)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    lead = "error: " if command == "bench" else "violation: pack failed to load"
+    assert line.startswith(lead) and named in line
 
 
 def nested_paths(value, path=()):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -18,13 +20,15 @@ from hypothesis import strategies as st
 import pocketrag
 from pocketrag.app_index import AppIndex, AppSeed
 from pocketrag import embedding
-from pocketrag.bench import run_benchmark
+from pocketrag.bench import BenchmarkTask, run_benchmark
 from pocketrag.embedding import HashedTokenEmbedder, embed_row
 from pocketrag.errors import PocketRagError
+from pocketrag.simulator import Scenario
 from pocketrag.task_memory import MemoryStore
 
-from conftest import PACK_DIR, json_values
+from conftest import PACK_DIR, json_values, mini_scenario_dict
 from test_app_index import VOCAB
+from test_cli import nested_paths, replaced
 from test_task_memory import make_trace
 
 # sha256 of the files written by the per-record implementation that stored
@@ -177,6 +181,36 @@ def test_a_field_of_another_type_loads_equal_or_raises(saved_stores, kind, data,
     except PocketRagError:
         return
     assert loaded.to_dict() == loader.load(saved_stores / f"{kind}.json").to_dict()
+
+
+# the fields where a null is documented to leave the field unset (README,
+# "Input files"), which is a value of the field's own type
+NULLABLE_FIELDS = {"next", "target"}
+
+
+@pytest.mark.parametrize("kind", ["scenario", "ground_truth"])
+@settings(max_examples=80)
+@given(data=st.data(), value=json_values())
+def test_a_nested_field_of_another_type_loads_equal_or_raises(kind, data, value):
+    """The mini scenario, or a desk task, with one field nested anywhere in the
+    scenario or in the task's ground truth replaced by a value of another JSON
+    type loads to an equal object or raises a PocketRagError; it never loads
+    to a silently different one."""
+    if kind == "scenario":
+        valid, load, root = mini_scenario_dict(), Scenario.from_dict, ()
+    else:
+        path = data.draw(st.sampled_from(sorted((Path(PACK_DIR) / "tasks").glob("*.json"))))
+        valid, load, root = json.loads(path.read_text()), BenchmarkTask.from_dict, ("ground_truth",)
+    part = functools.reduce(operator.getitem, root, valid)
+    field = root + data.draw(st.sampled_from(sorted(nested_paths(part), key=repr)))
+    old = functools.reduce(operator.getitem, field, valid)
+    assume(json_type(value) != json_type(old))
+    assume(value is not None or field[-1] not in NULLABLE_FIELDS)
+    try:
+        loaded = load(replaced(valid, field, value))
+    except PocketRagError:
+        return
+    assert loaded == load(valid)
 
 
 def test_load_threshold_override(tmp_path):

@@ -232,6 +232,19 @@ def test_http_planner_pick_rejects_unknown_package():
         planner.pick_app("query", candidates())
 
 
+def test_http_planner_retries_a_pick_of_another_type():
+    replies = iter(['{"pick": ["com.bbb"]}', '{"pick": "com.bbb"}'])
+    prompts = []
+
+    def transport(payload):
+        prompts.append(payload["messages"][1]["content"])
+        return next(replies)
+
+    planner = HttpChatPlanner("https://llm.example", "m", transport=transport)
+    assert planner.pick_app("query", candidates()) == "com.bbb"
+    assert "pick ['com.bbb'] is not a str" in prompts[1]
+
+
 def test_decision_helpers():
     assert PlannerDecision.need_knowledge(["a"]).entities == ("a",)
     assert PlannerDecision.select_app("q").app_query == "q"

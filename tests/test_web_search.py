@@ -152,3 +152,30 @@ def test_http_backend_missing_key_env(monkeypatch):
     backend = HttpSearchBackend("https://search.example", api_key_env="SEARCH_KEY_TEST")
     with pytest.raises(BackendUnavailableError):
         backend.raw_search("hello")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"results": [None]},
+        {"results": 5},
+        {"results": [{"title": 7, "summary": ["a"], "url": 5}]},
+    ],
+    ids=["array", "null-hit", "int-results", "typed-hit"],
+)
+def test_http_backend_malformed_response(payload):
+    class StubResponse:
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return payload
+
+    class StubSession:
+        def get(self, url, params=None, timeout=None):
+            return StubResponse()
+
+    backend = HttpSearchBackend("https://search.example", session=StubSession())
+    with pytest.raises(BackendUnavailableError, match="search response is malformed"):
+        backend.raw_search("hello")
