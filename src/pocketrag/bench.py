@@ -11,6 +11,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -141,25 +142,26 @@ def load_pack(path: str | Path) -> Pack:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         scenarios: dict[str, Scenario] = {}
         for rel in manifest.get("scenarios", []):
-            scenario = Scenario.from_file(root / rel)
-            if scenario.scenario_id in scenarios:
-                raise ManifestError(f"duplicate scenario id {scenario.scenario_id!r}")
+            with _naming(rel):
+                scenario = Scenario.from_file(root / rel)
+                if scenario.scenario_id in scenarios:
+                    raise ManifestError(f"duplicate scenario id {scenario.scenario_id!r}")
             scenarios[scenario.scenario_id] = scenario
 
         tasks: list[BenchmarkTask] = []
         seen_ids: set[str] = set()
         for rel in manifest.get("tasks", []):
-            data = json.loads((root / rel).read_text(encoding="utf-8"))
-            task = BenchmarkTask.from_dict(data)
-            if task.task_id in seen_ids:
-                raise ManifestError(f"duplicate task id {task.task_id!r}")
+            with _naming(rel), malformed(MalformedEntryError, "task file"):
+                task = BenchmarkTask.from_dict(json.loads((root / rel).read_text(encoding="utf-8")))
+                if task.task_id in seen_ids:
+                    raise ManifestError(f"duplicate task id {task.task_id!r}")
+                if task.scenario_ref not in scenarios:
+                    raise DanglingScenarioRefError(
+                        f"task {task.task_id!r} references unknown scenario "
+                        f"{task.scenario_ref!r}"
+                    )
+                _validate_task_against_scenario(task, scenarios[task.scenario_ref])
             seen_ids.add(task.task_id)
-            if task.scenario_ref not in scenarios:
-                raise DanglingScenarioRefError(
-                    f"task {task.task_id!r} references unknown scenario "
-                    f"{task.scenario_ref!r}"
-                )
-            _validate_task_against_scenario(task, scenarios[task.scenario_ref])
             tasks.append(task)
 
         if not tasks:
@@ -203,6 +205,16 @@ def load_pack(path: str | Path) -> Pack:
         )
 
 
+@contextlib.contextmanager
+def _naming(rel: str):
+    """Re-raise a PocketRagError from the block as one of the same class whose
+    message starts with ``rel``, the path in the pack of the file being loaded."""
+    try:
+        yield
+    except PocketRagError as exc:
+        raise type(exc)(f"{rel}: {exc}") from exc
+
+
 def _validate_task_against_scenario(task: BenchmarkTask, scenario: Scenario) -> None:
     available = {s.package_id for s in scenario.installed_apps}
     available.update(s.package_id for s in scenario.store_catalog)
@@ -212,14 +224,8 @@ def _validate_task_against_scenario(task: BenchmarkTask, scenario: Scenario) -> 
                 f"task {task.task_id!r} expects app {package!r} absent from "
                 f"scenario {scenario.scenario_id!r}"
             )
-    screens = {
-        screen_id
-        for graph in scenario.app_graphs.values()
-        for screen_id in graph.screens
-    }
-    screens.add("home")
     for goal in task.ground_truth.sub_goals:
-        if goal.kind == "screen" and goal.screen not in screens:
+        if goal.kind == "screen" and goal.screen not in scenario.screen_ids:
             raise InvalidGroundTruthError(
                 f"task {task.task_id!r} sub-goal {goal.name!r} references "
                 f"unknown screen {goal.screen!r}"

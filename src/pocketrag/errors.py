@@ -8,7 +8,8 @@ field may have: each loader checks its fields against one {field: type} table,
 and coerces none. That covers a scenario's header, ``initial``, screen
 elements and search hits, and a task's ground truth, action patterns and
 sub-goals; a scenario's graphs, transitions and flag values are checked by
-the scenario's own validation, which walks them anyway.
+the scenario's own validation, whose one walk over the graphs also checks
+the elements.
 """
 
 import math

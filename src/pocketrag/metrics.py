@@ -30,11 +30,11 @@ WILDCARD = "*"
 
 @dataclass(frozen=True)
 class ActionPattern:
-    """Expected action shape: a kind plus an optional target pattern.
+    """Expected action shape: a kind plus a target pattern.
 
     The target slot holds the element id for tap/type, the direction for
-    swipe, the package for launch, and nothing for back/stop. ``*``
-    matches any value.
+    swipe, the package for launch, and nothing for back/stop; every kind
+    but back and stop needs one. ``*`` matches any value.
     """
 
     kind: str
@@ -43,6 +43,8 @@ class ActionPattern:
     def __post_init__(self) -> None:
         if self.kind not in ACTION_KINDS:
             raise InvalidGroundTruthError(f"unknown action pattern kind {self.kind!r}")
+        if self.target is None and self.kind not in ("back", "stop"):
+            raise InvalidGroundTruthError(f"{self.kind} action pattern needs a target")
 
     def matches(self, step: ActionStep) -> bool:
         if step.action.kind != self.kind:

@@ -6,6 +6,11 @@ Swipe, Back, Stop, plus LaunchApp by package id. Wrong-target actions are
 absorbed as no-ops, mirroring how a real GUI swallows mistaps. A simulated
 app store installs new apps into the running device.
 
+A scenario checks every app's screen graph when it loads, in one walk over
+its JSON, and builds an app's graph on the app's first launch; the built
+graph is kept on the scenario and shared by every device, so a scenario
+with a large store builds only the graphs that its tasks open.
+
 Identical (scenario, action sequence) inputs always produce identical
 final states and step effects, which is what makes replayed traces and
 benchmark reports reproducible.
@@ -61,13 +66,17 @@ class UiElement:
     bounds: tuple[int, int, int, int] = (0, 0, 100, 100)
 
     def __post_init__(self) -> None:
-        if self.role not in ELEMENT_ROLES:
-            raise ScenarioError(f"unknown element role {self.role!r}")
-        x, y, w, h = self.bounds
-        if not type(x) is type(y) is type(w) is type(h) is int or x < 0 or y < 0 or w <= 0 or h <= 0:
-            raise ScenarioError(
-                f"element {self.element_id!r} has invalid bounds {self.bounds}"
-            )
+        _check_element(self.element_id, self.role, self.bounds)
+
+
+def _check_element(element_id: str, role: str, bounds: tuple) -> None:
+    """Raise ScenarioError for an unknown role or bounds that are not four
+    ints with a non-negative origin and a positive size."""
+    if role not in ELEMENT_ROLES:
+        raise ScenarioError(f"unknown element role {role!r}")
+    x, y, w, h = bounds
+    if not type(x) is type(y) is type(w) is type(h) is int or x < 0 or y < 0 or w <= 0 or h <= 0:
+        raise ScenarioError(f"element {element_id!r} has invalid bounds {bounds}")
 
 
 @dataclass(frozen=True)
@@ -284,23 +293,36 @@ class Scenario:
     the initial device state, and canned search fixtures for the knowledge
     backend.
 
+    ``app_graphs`` holds each app's screen graph as the scenario's JSON
+    gives it. Validation checks every graph in one walk over that JSON and
+    collects ``screen_ids``, every screen id of every app and ``home``; an
+    app's ``AppGraph`` is built on its first launch (``graph``), so a
+    store-sized scenario builds only the graphs its tasks open.
+
     State that depends only on the scenario is built once and shared by
     every ``Device`` and task run on it: the package-id maps of the two
-    catalogs (built by validation), the home grid of the installed apps
-    (``home_elements``, on first use) and the store catalog's ``AppIndex``
+    catalogs and ``screen_ids`` (built by validation), the home grid of the
+    installed apps (``home_elements``, on first use), each app's graph
+    (``graph``, on its first launch) and the store catalog's ``AppIndex``
     (``store_index``, on first use per backend and threshold). A device
     copies the installed map and never writes to anything shared, so the
-    catalogs must not be changed after construction.
+    catalogs and the graph JSON must not be changed after construction;
+    ``from_dict`` keeps the caller's graph JSON rather than a copy, so the
+    caller must not change ``data`` after the call either.
     """
 
     scenario_id: str
     installed_apps: list[AppSeed]
     store_catalog: list[AppSeed]
-    app_graphs: dict[str, AppGraph]
+    app_graphs: dict[str, dict]
     initial_flags: dict[str, str] = field(default_factory=dict)
     search_fixtures: dict[str, list[dict[str, str]]] = field(default_factory=dict)
     _installed: dict[str, AppSeed] = field(init=False, repr=False, compare=False)
     _store: dict[str, AppSeed] = field(init=False, repr=False, compare=False)
+    screen_ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    _graphs: dict[str, AppGraph] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _home: tuple[UiElement, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -316,6 +338,25 @@ class Scenario:
         if self._home is None:
             self._home = _home_grid(self._installed)
         return self._home
+
+    def graph(self, package: str) -> AppGraph:
+        """The screen graph of ``package``, built on the first call and kept."""
+        graph = self._graphs.get(package)
+        if graph is None:
+            data = self.app_graphs[package]
+            screens = {}
+            for screen_id, screen in data["screens"].items():
+                elements = tuple(
+                    UiElement(e["element_id"], e["role"], e.get("text", ""), tuple(e.get("bounds", _BOUNDS)))
+                    for e in screen.get("elements", [])
+                )
+                transitions = {
+                    key: Transition(t.get("next"), tuple(sorted(t.get("flags", {}).items())))
+                    for key, t in screen.get("transitions", {}).items()
+                }
+                screens[screen_id] = ScreenDef(elements, transitions)
+            graph = self._graphs[package] = AppGraph(data["entry"], screens)
+        return graph
 
     def store_index(self, backend: EmbedderBackend, threshold: float) -> AppIndex:
         """The store catalog indexed with ``backend`` at ``threshold``.
@@ -355,35 +396,43 @@ class Scenario:
             for pid in apps:
                 if pid not in self.app_graphs:
                     raise ScenarioError(f"{catalog} app {pid} has no screen graph")
+        screen_ids = {HOME_SCREEN}
         for pid, graph in self.app_graphs.items():
-            if graph.entry not in graph.screens:
-                raise ScenarioError(f"{pid}: entry screen {graph.entry!r} undefined")
-            for screen_id, screen in graph.screens.items():
+            screens = graph["screens"]
+            for screen_id, screen in screens.items():
                 if screen_id == HOME_SCREEN:
                     raise ScenarioError(f"{pid}: screen id {HOME_SCREEN!r} is reserved")
-                ids = [e.element_id for e in screen.elements]
-                if len(ids) != len(set(ids)):
+                elements = screen.get("elements", [])
+                if type(elements) is not list:
+                    raise TypeError(f"{pid}/{screen_id}: elements {elements!r} are not an array")
+                for element in elements:
+                    check_types(element, _ELEMENT_FIELD_TYPES)
+                    bounds = tuple(element.get("bounds", _BOUNDS))
+                    _check_element(element["element_id"], element["role"], bounds)
+                if len({e["element_id"] for e in elements}) != len(elements):
                     raise ScenarioError(f"{pid}/{screen_id}: duplicate element ids")
-                for key, transition in screen.transitions.items():
+                for key, transition in screen.get("transitions", {}).items():
                     self._validate_transition_key(pid, screen_id, key)
-                    for flag, value in transition.flags:
+                    for flag, value in transition.get("flags", {}).items():
                         if type(value) is not str:
                             raise ScenarioError(
                                 f"{pid}/{screen_id}: transition {key!r} sets flag "
                                 f"{flag!r} to the non-string {value!r}"
                             )
-                    if (
-                        transition.next_screen is not None
-                        and transition.next_screen not in graph.screens
-                    ):
+                    next_screen = transition.get("next")
+                    if next_screen is not None and next_screen not in screens:
                         raise ScenarioError(
                             f"{pid}/{screen_id}: transition {key!r} leads to "
-                            f"undefined screen {transition.next_screen!r}"
+                            f"undefined screen {next_screen!r}"
                         )
+            if graph["entry"] not in screens:
+                raise ScenarioError(f"{pid}: entry screen {graph['entry']!r} undefined")
+            screen_ids.update(screens)
         for flag, value in self.initial_flags.items():
             if type(value) is not str:
                 raise ScenarioError(f"initial flag {flag!r} has the non-string value {value!r}")
         self._installed, self._store = installed, store
+        self.screen_ids = frozenset(screen_ids)
 
     @staticmethod
     def _validate_transition_key(pid: str, screen_id: str, key: str) -> None:
@@ -401,20 +450,6 @@ class Scenario:
         """Raises ScenarioError when a field is missing or has the wrong type."""
         with malformed(ScenarioError, "scenario"):
             check_types(data, _SCENARIO_FIELD_TYPES)
-            graphs = {}
-            for pid, graph_data in data.get("app_graphs", {}).items():
-                screens = {}
-                for screen_id, screen_data in graph_data["screens"].items():
-                    elements = screen_data.get("elements", [])
-                    if type(elements) is not list:
-                        raise TypeError(f"{pid}/{screen_id}: elements {elements!r} are not an array")
-                    transitions = {
-                        key: Transition(t.get("next"), tuple(sorted(t.get("flags", {}).items())))
-                        for key, t in screen_data.get("transitions", {}).items()
-                    }
-                    screens[screen_id] = ScreenDef(tuple(map(_element, elements)), transitions)
-                graphs[pid] = AppGraph(graph_data["entry"], screens)
-
             fixtures = data.get("search_fixtures", {})
             if isinstance(fixtures, str):
                 if base_dir is None:
@@ -430,7 +465,7 @@ class Scenario:
                 scenario_id=data["scenario_id"],
                 installed_apps=[AppSeed.from_dict(s) for s in data.get("installed_apps", [])],
                 store_catalog=[AppSeed.from_dict(s) for s in data.get("store_catalog", [])],
-                app_graphs=graphs,
+                app_graphs=data.get("app_graphs", {}),
                 initial_flags=dict(initial.get("flags", {})),
                 search_fixtures={key: check_hits(hits) for key, hits in fixtures.items()},
             )
@@ -453,13 +488,7 @@ _SCENARIO_FIELD_TYPES = {
     "initial": dict, "search_fixtures": str | dict,
 }
 _ELEMENT_FIELD_TYPES = {"element_id": str, "role": str, "text": str, "bounds": list}
-
-
-def _element(data: Mapping) -> UiElement:
-    """One screen element; raises ValueError for a field of the wrong type."""
-    check_types(data, _ELEMENT_FIELD_TYPES)
-    bounds = tuple(data.get("bounds", (0, 0, 100, 100)))
-    return UiElement(data["element_id"], data["role"], data.get("text", ""), bounds)
+_BOUNDS = UiElement.bounds  # an element's bounds when its JSON gives none
 
 
 class Device:
@@ -471,7 +500,8 @@ class Device:
 
     Per device: its own copy of the installed map, the foreground screen,
     the back stack, the flags and the history. Read from the scenario and
-    shared: the store map, the screen graphs, and the scenario's home grid
+    shared: the store map, the screen graphs (the foreground app's is kept
+    from its launch), and the scenario's home grid
     until the first ``install_from_store``; after that the device builds its
     own grid on the next home ``observe`` and keeps it.
     """
@@ -481,6 +511,7 @@ class Device:
         self._installed: dict[str, AppSeed] = dict(scenario._installed)
         self._store: Mapping[str, AppSeed] = scenario._store
         self._home: tuple[UiElement, ...] | None = None  # built on the next home observe
+        self._graph: AppGraph | None = None  # the graph of the foreground app
         self._foreground = HOME_PACKAGE
         self._screen_id = HOME_SCREEN
         self._stack: list[str] = []
@@ -518,7 +549,7 @@ class Device:
         return element_id in self._screen().element_ids
 
     def _screen(self) -> ScreenDef:
-        return self.scenario.app_graphs[self._foreground].screens[self._screen_id]
+        return self._graph.screens[self._screen_id]
 
     def _current_elements(self) -> tuple[UiElement, ...]:
         if self._foreground != HOME_PACKAGE:
@@ -590,7 +621,8 @@ class Device:
         self._stack = []
 
     def _open(self, package: str) -> None:
-        entry = self.scenario.app_graphs[package].entry
+        self._graph = self.scenario.graph(package)
+        entry = self._graph.entry
         self._foreground = package
         self._screen_id = entry
         self._stack = [entry]

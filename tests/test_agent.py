@@ -536,18 +536,20 @@ def test_unembeddable_app_query_is_no_app_anywhere(backend, text):
 
 
 def test_two_runs_on_one_scenario_build_its_home_grid_once(backend, monkeypatch):
-    # the home grid belongs to the scenario: a second task run, on a new
-    # device of the same scenario, observes home without building one icon
+    # the home grid and the screen graphs belong to the scenario: the first
+    # task run builds the two icons and the graph of the one app it launches,
+    # and a second run, on a new device of the same scenario, builds nothing
     scenario, index, _, search = build_world(backend)
-    built = []
+    built = []  # the element ids built in each run
     check = UiElement.__post_init__
 
     def counted(self):
-        built.append(self.element_id)
+        built[-1].append(self.element_id)
         check(self)
 
     monkeypatch.setattr(UiElement, "__post_init__", counted)
     for _ in range(2):
+        built.append([])
         run = run_task(
             instruction="Set an alarm for 8 am.",
             scenario=scenario,
@@ -559,7 +561,10 @@ def test_two_runs_on_one_scenario_build_its_home_grid_once(backend, monkeypatch)
             config=CONFIG,
         )
         assert run.outcome == "success"
-    assert built == ["icon_com.clock", "icon_com.notes"]
+    assert built == [
+        ["icon_com.clock", "icon_com.notes", "alarms_tab", "time_field", "save_alarm"],
+        [],
+    ]
 
 
 # the mini scenario's vocabulary: element ids (home icons included), app

@@ -531,6 +531,11 @@ def _bool_and_float_bounds(data):
     _first_element(data)["bounds"] = [True, 0.5, 100, 100]
 
 
+def _unlaunched_store_element_role(data):
+    # the run never launches the store app com.weather, so only a check at load sees this
+    data["app_graphs"]["com.weather"]["screens"]["forecast"]["elements"][0]["role"] = "slider"
+
+
 def _typed_fixture_hit(data):
     data["search_fixtures"]["weather tomorrow"] = [{"title": 7, "summary": ["a"], "url": 5}]
 
@@ -546,9 +551,10 @@ def _typed_fixture_hit(data):
         (_list_element_text, "text ['x'] is not a str"),
         (_bool_and_float_bounds, "invalid bounds (True, 0.5, 100, 100)"),
         (_typed_fixture_hit, "title 7 is not a str"),
+        (_unlaunched_store_element_role, "unknown element role 'slider'"),
     ],
     ids=["no-scenario-id", "no-screens", "int-scenario-id", "int-element-id", "list-element-text",
-         "bool-and-float-bounds", "typed-fixture-hit"],
+         "bool-and-float-bounds", "typed-fixture-hit", "unlaunched-store-element-role"],
 )
 def test_run_on_malformed_scenario_exits_2(tmp_path, task_file, capsys, tamper, named):
     data = mini_scenario_dict()
@@ -768,6 +774,7 @@ DESK_GROUND_TRUTH_DAMAGE = {
     "int-target": (lambda truth: truth["expected_actions"][1].update(target=5), "target 5"),
     "string-apps": (lambda truth: truth.update(expected_apps="com.x"), "expected_apps 'com.x'"),
     "int-name": (lambda truth: truth["sub_goals"][0].update(name=3), "name 3"),
+    "no-target": (lambda truth: truth["expected_actions"][1].pop("target"), "tap action pattern needs a target"),
 }
 
 
@@ -782,6 +789,23 @@ def test_a_mistyped_desk_ground_truth_exits_2_at_load(tmp_path, capsys, command,
     change(task["ground_truth"])
     path.write_text(json.dumps(task))
     with pytest.raises(PocketRagError, match=re.escape(named)):
+        load_pack(pack)
+    assert main(command.split() + ["--pack", str(pack)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    lead = "error: " if command == "bench" else "violation: pack failed to load"
+    assert line.startswith(lead) and "tasks/t01_alarm_set.json: " in line and named in line
+
+
+@pytest.mark.parametrize("command", ["pack validate", "bench"])
+def test_a_malformed_desk_scenario_exits_2_naming_its_file(tmp_path, capsys, command):
+    pack = tmp_path / "desk"
+    shutil.copytree(PACK_DIR, pack)
+    path = pack / "scenarios" / "alarm_basic.json"
+    scenario = json.loads(path.read_text())
+    scenario["app_graphs"]["com.deskos.clock"]["screens"]["clock_home"]["elements"][0]["bounds"] = [0, 0, 0, 10]
+    path.write_text(json.dumps(scenario))
+    named = "scenarios/alarm_basic.json: element 'alarms_tab' has invalid bounds (0, 0, 0, 10)"
+    with pytest.raises(ScenarioError, match=re.escape(named)):
         load_pack(pack)
     assert main(command.split() + ["--pack", str(pack)]) == 2
     (line,) = capsys.readouterr().err.splitlines()

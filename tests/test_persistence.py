@@ -184,8 +184,9 @@ def test_a_field_of_another_type_loads_equal_or_raises(saved_stores, kind, data,
 
 
 # the fields where a null is documented to leave the field unset (README,
-# "Input files"), which is a value of the field's own type
-NULLABLE_FIELDS = {"next", "target"}
+# "Input files"), which is a value of the field's own type; a null action
+# pattern target is refused wherever the kind acts on something
+NULLABLE_FIELDS = {"next"}
 
 
 @pytest.mark.parametrize("kind", ["scenario", "ground_truth"])

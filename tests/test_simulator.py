@@ -220,12 +220,26 @@ def test_determinism_across_devices(mini_scenario):
     assert final_a == final_b
 
 
+def test_a_graph_is_built_on_its_apps_first_launch_and_shared(monkeypatch):
+    built = []
+    check = UiElement.__post_init__
+
+    def counted(self):
+        built.append(self.element_id)
+        check(self)
+
+    monkeypatch.setattr(UiElement, "__post_init__", counted)
+    scenario = Scenario.from_dict(mini_scenario_dict())
+    assert built == []  # loading checks every graph but builds none
+    for device in (Device(scenario), Device(scenario)):
+        device.execute(Action.launch("com.notes"))
+        assert built == ["new_note", "note_body"]  # built by the first device only
+
+
 def test_closure_over_declared_screens(mini_scenario):
-    declared = {
-        screen_id
-        for graph in mini_scenario.app_graphs.values()
-        for screen_id in graph.screens
-    } | {"home"}
+    declared = mini_scenario.screen_ids
+    assert declared == {"home", "clock_home", "alarm_list", "notes_home", "note_editor",
+                        "weather_home", "forecast"}
     rng = random.Random(9)
     device = Device(mini_scenario)
     pool = [
